@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .models import ShuffleSpec, exact_distribution
-from .orderpoly import gf_coefficients, statistic_range
+from .models import ShuffleSpec
+from .orderpoly import gf_coefficients, op_vector, statistic_range
 from .permutations import all_permutations, cycle_type_partition, left_peaks
 
 __all__ = [
@@ -110,37 +110,44 @@ def des_counts(n: int) -> CountTable:
 # distances to the uniform distribution
 
 
+def _integer_law(spec: ShuffleSpec) -> tuple[tuple[int, ...], list[int], int]:
+    """(class sizes, chain counts, T) of one pass, in integers: each
+    permutation in class k has probability ops[k] / T, T = choices^n.
+
+    Raises ValueError unless the law sums to one, sum count_k ops_k == T.
+    """
+    counts = count_table(spec.n, spec.statistic_kind).counts
+    ops = op_vector(spec.n, spec.m, spec.mode)
+    total = spec.total_outcomes
+    mass = sum(count * op for count, op in zip(counts, ops, strict=True))
+    if mass != total:
+        raise ValueError(f"class counts sum to {mass}, not {total} outcomes")
+    return counts, ops, total
+
+
 def tv_distance(spec: ShuffleSpec) -> Fraction:
     """Total variation distance to uniform, exactly:
-    half the count-weighted sum of |class probability - 1/n!|."""
-    dist = exact_distribution(spec)
-    uniform = Fraction(1, math.factorial(spec.n))
-    total = sum(
-        (count * abs(prob - uniform) for _, prob, count in dist.classes),
-        start=Fraction(0),
-    )
-    return total / 2
-
-
-def _extreme_probs(spec: ShuffleSpec) -> tuple[Fraction, Fraction]:
-    dist = exact_distribution(spec)
-    ks = statistic_range(dist.statistic, spec.n)
-    return dist.prob(ks[0]), dist.prob(ks[-1])
+    half the count-weighted sum of |class probability - 1/n!|,
+    summed over the common denominator T n!."""
+    counts, ops, total = _integer_law(spec)
+    nfact = math.factorial(spec.n)
+    excess = sum(count * abs(op * nfact - total) for count, op in zip(counts, ops))
+    return Fraction(excess, 2 * total * nfact)
 
 
 def sep_distance(spec: ShuffleSpec) -> Fraction:
     """Separation distance; by monotonicity it is attained at the
     statistic extremes k = 0 or k = k_max."""
-    p0, pmax = _extreme_probs(spec)
-    nfact = math.factorial(spec.n)
-    return max(1 - nfact * p0, 1 - nfact * pmax)
+    _, ops, total = _integer_law(spec)
+    low = min(ops[0], ops[-1])
+    return Fraction(total - math.factorial(spec.n) * low, total)
 
 
 def linf_distance(spec: ShuffleSpec) -> Fraction:
     """l-infinity distance max |n! prob - 1|, again from the extremes."""
-    p0, pmax = _extreme_probs(spec)
+    _, ops, total = _integer_law(spec)
     nfact = math.factorial(spec.n)
-    return max(abs(nfact * p0 - 1), abs(nfact * pmax - 1))
+    return Fraction(max(abs(nfact * op - total) for op in (ops[0], ops[-1])), total)
 
 
 @dataclass(frozen=True)

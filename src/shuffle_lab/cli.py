@@ -1,19 +1,16 @@
 """Command-line front end: sampling, distance tables, identity
 verification, and cycle-structure reports.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
-Table sweeps across m values run in a thread pool; SHUFFLE_LAB_THREADS
-caps the pool size.  Output is deterministic for a fixed seed and config.
+Exit codes: 0 success, 1 verification failure, 2 usage or I/O error.
+Output is deterministic for a fixed seed and config.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import analysis, models, orderpoly, posets, ppartitions
@@ -63,19 +60,13 @@ def _emit(text: str, path: str | None) -> None:
             handle.write(text)
 
 
-def _threads(jobs: int) -> int:
-    env = os.environ.get("SHUFFLE_LAB_THREADS")
-    limit = int(env) if env else (os.cpu_count() or 1)
-    if limit < 1:
-        raise ValueError("SHUFFLE_LAB_THREADS must be a positive integer")
-    return max(1, min(limit, jobs))
-
-
 # ---------------------------------------------------------------------------
 # simulate
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    if args.count < 0:
+        raise ValueError("--count must be nonnegative")
     spec = models.ShuffleSpec(args.n, args.m, args.model)
     rng = random.Random(args.seed)
     sampler = (
@@ -127,12 +118,11 @@ def cmd_tv_table(args: argparse.Namespace) -> int:
         raise ValueError("empty m list")
     model_list = [args.model] if args.model else list(models.SHELF_MODELS)
     distance = _DISTANCES[args.distance]
-    jobs = [(model, m) for model in model_list for m in ms]
-    with ThreadPoolExecutor(max_workers=_threads(len(jobs))) as pool:
-        values = list(
-            pool.map(lambda job: distance(models.ShuffleSpec(args.n, job[1], job[0])), jobs)
-        )
-    cells = {job: value for job, value in zip(jobs, values)}
+    cells = {
+        (model, m): distance(models.ShuffleSpec(args.n, m, model))
+        for model in model_list
+        for m in ms
+    }
 
     def render(value: Fraction) -> str:
         return str(value) if args.exact else format_fixed(value)
@@ -305,13 +295,12 @@ _VERIFIERS = {
     "joint": (_verify_joint, 4),
 }
 
-_EXHAUSTIVE_LIMIT = 7  # S_n sweeps refuse anything larger
-
 
 def cmd_verify(args: argparse.Namespace) -> int:
     names = [args.only] if args.only else list(_VERIFIERS)
-    if args.n is not None and args.n > _EXHAUSTIVE_LIMIT and args.only != "monotonicity":
-        raise ValueError(f"exhaustive verification refuses n > {_EXHAUSTIVE_LIMIT}")
+    cap = orderpoly.EXHAUSTIVE_CAP
+    if args.n is not None and args.n > cap and args.only != "monotonicity":
+        raise ValueError(f"exhaustive verification refuses n > {cap}")
     results = []
     ok_all = True
     if args.self_test_corrupt:
@@ -451,7 +440,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -32,7 +32,7 @@ from .orderpoly import (
     convolved_bound,
     mode_statistic,
     op_chain,
-    statistic_range,
+    op_vector,
 )
 from .permutations import Perm, all_permutations, compose, inverse, statistic
 
@@ -85,6 +85,9 @@ class ShuffleSpec:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ValueError(f"unknown model: {self.model!r}")
+        # bools are ints to Python, floats fail late in the exact engine
+        if type(self.n) is not int or type(self.m) is not int:
+            raise ValueError(f"n and m must be ints, got {self.n!r} and {self.m!r}")
         if self.n < 1 or self.m < 0:
             raise ValueError("require n >= 1 and m >= 0")
         # m = 0 leaves no placements unless the alphabet keeps the 0 value
@@ -102,7 +105,7 @@ class ShuffleSpec:
     @property
     def choices_per_card(self) -> int:
         """Placements per card; outcomes are uniform over choices^n."""
-        return len(pp.alphabet(self.m, self.mode))
+        return pp.alphabet_size(self.m, self.mode)
 
     @property
     def total_outcomes(self) -> int:
@@ -246,9 +249,10 @@ def exact_distribution(spec: ShuffleSpec) -> ExactDist:
 
     kind = spec.statistic_kind
     counts = count_table(spec.n, kind).counts
+    ops = op_vector(spec.n, spec.m, spec.mode)
+    total = spec.total_outcomes
     rows = tuple(
-        (k, Fraction(op_chain(spec.n, k, spec.m, spec.mode), spec.total_outcomes), counts[k])
-        for k in statistic_range(kind, spec.n)
+        (k, Fraction(op, total), count) for k, (op, count) in enumerate(zip(ops, counts))
     )
     return ExactDist(spec, kind, rows)
 

@@ -38,6 +38,7 @@ __all__ = [
     "op_plus",
     "op_poset",
     "op_star",
+    "op_vector",
     "statistic_range",
     "EXHAUSTIVE_CAP",
 ]
@@ -115,6 +116,49 @@ def op_chain(n: int, k: int, m: int, mode: str) -> int:
     if mode == "positive":
         return op_plus(n, k, m)
     raise ValueError(f"unknown mode: {mode!r}")
+
+
+def _comb_row(top: int, n: int, length: int) -> list[int]:
+    """[C(top, n), C(top - 1, n), ...], length entries, stepped by
+    C(N - 1, n) = C(N, n) (N - n) / N (exact; callers keep N >= 1)."""
+    row = [comb(top, n)]
+    for a in range(length - 1):
+        row.append(row[-1] * (top - a - n) // (top - a))
+    return row
+
+
+def op_vector(n: int, m: int, mode: str) -> list[int]:
+    """op_chain(n, k, m, mode) for every k in the mode's statistic range,
+    built in one pass (n >= 1).
+
+    The closed forms share the row R[a] = C(top - a, n), with top = n + m
+    for "all" and n - 1 + m otherwise.  "positive" is R[k].  The other
+    modes need T_d(a) = sum_j C(d, j) R[a + j] at a = k, d = D - 2k
+    (D = n for "all", n - 1 for "nonzero"); Pascal's rule
+    T_d(a) = T_(d-1)(a) + T_(d-1)(a + 1) walks d up from T_0 = R, so every
+    class comes from the one row without a binomial per class.
+
+    >>> op_vector(4, 2, "all")
+    [41, 28, 16]
+    >>> op_vector(4, 2, "nonzero"), op_vector(4, 2, "positive")
+    ([16, 8], [5, 1, 0, 0])
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    kind = mode_statistic(mode)
+    if mode == "positive":
+        return _comb_row(n - 1 + m, n, len(statistic_range(kind, n)))
+    top, deg, scale = (n + m, n, 1) if mode == "all" else (n - 1 + m, n - 1, 2)
+    row = _comb_row(top, n, deg + 1)
+    out = [0] * (deg // 2 + 1)
+    for d in range(deg + 1):
+        if (deg - d) % 2 == 0:
+            k = (deg - d) // 2
+            out[k] = scale * row[k] << 2 * k
+        row = [x + y for x, y in zip(row, row[1:])]
+    return out
 
 
 def op_of_perm(p: Perm, m: int, mode: str) -> int:

@@ -29,6 +29,7 @@ __all__ = [
     "ShuffleOutcome",
     "WeakComposition",
     "alphabet",
+    "alphabet_size",
     "bar",
     "bottom_deal_permutation",
     "enumerate_bounded",
@@ -127,6 +128,23 @@ def alphabet(m: int, mode: str) -> tuple[BarredInt, ...]:
         return tuple(BarredInt.from_rank(r) for r in range(1, 2 * m + 1))
     if mode == "positive":
         return tuple(BarredInt(k) for k in range(1, m + 1))
+    raise ValueError(f"unknown mode: {mode!r}")
+
+
+def alphabet_size(m: int, mode: str) -> int:
+    """len(alphabet(m, mode)), without building the 2m + 1 values.
+
+    >>> alphabet_size(3, "all"), alphabet_size(3, "nonzero"), alphabet_size(3, "positive")
+    (7, 6, 3)
+    """
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    if mode == "all":
+        return 2 * m + 1
+    if mode == "nonzero":
+        return 2 * m
+    if mode == "positive":
+        return m
     raise ValueError(f"unknown mode: {mode!r}")
 
 

@@ -10,8 +10,13 @@ value-tuple product.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
+from fractions import Fraction
 
+from shuffle_lab.analysis import count_table
+from shuffle_lab.models import ShuffleSpec
+from shuffle_lab.orderpoly import op_chain, statistic_range
 from shuffle_lab.posets import Poset
 from shuffle_lab.ppartitions import BarredInt, PPartition
 
@@ -66,6 +71,26 @@ def brute_statistic_counts(n: int, kind: str) -> tuple[int, ...]:
             raise ValueError(f"unknown statistic kind: {kind!r}")
         counts[value] += 1
     return tuple(counts[k] for k in range(max(counts) + 1))
+
+
+def fraction_distances(spec: ShuffleSpec) -> tuple[Fraction, Fraction, Fraction]:
+    """(tv, sep, linf) the slow way: one op_chain call and one Fraction per
+    statistic class, tv as half the count-weighted sum of
+    |class probability - 1/n!|, sep and linf from the extreme classes."""
+    n, total = spec.n, spec.total_outcomes
+    counts = count_table(n, spec.statistic_kind).counts
+    classes = [
+        (Fraction(op_chain(n, k, spec.m, spec.mode), total), counts[k])
+        for k in statistic_range(spec.statistic_kind, n)
+    ]
+    if sum(prob * count for prob, count in classes) != 1:
+        raise ValueError("class probabilities do not sum to 1")
+    nfact = math.factorial(n)
+    tv = sum((count * abs(prob - Fraction(1, nfact)) for prob, count in classes), Fraction(0)) / 2
+    extremes = [nfact * classes[0][0], nfact * classes[-1][0]]
+    sep = max(1 - scaled for scaled in extremes)
+    linf = max(abs(scaled - 1) for scaled in extremes)
+    return tv, sep, linf
 
 
 class ScriptedRNG:

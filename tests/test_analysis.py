@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from shuffle_lab import analysis
 from shuffle_lab.analysis import (
     SERIES_CAP,
     CycleSeries,
@@ -27,7 +28,7 @@ from shuffle_lab.models import MODELS, ShuffleSpec, exact_distribution, exact_pr
 from shuffle_lab.orderpoly import statistic_range
 from shuffle_lab.permutations import all_permutations, cycle_type_partition, fixed_points
 
-from .oracles import brute_statistic_counts
+from .oracles import brute_statistic_counts, fraction_distances
 
 
 def test_count_table_examples():
@@ -84,6 +85,48 @@ def test_distance_ordering_and_riffle_reuse():
                 sep_distance(twin),
                 linf_distance(twin),
             )
+
+
+def test_distances_equal_fraction_per_class_formula():
+    for model, n in itertools.product(MODELS, range(1, 31)):
+        ms = {1, 2, 5, round(n**1.5)} | ({0} if model in ("shelf-lazy", "riffle-updown") else set())
+        for m in sorted(ms):
+            spec = ShuffleSpec(n, m, model)
+            got = (tv_distance(spec), sep_distance(spec), linf_distance(spec))
+            assert got == fraction_distances(spec), (model, n, m)
+
+
+@pytest.mark.parametrize("distance", [tv_distance, sep_distance, linf_distance])
+def test_corrupted_class_vector_fails_normalization(monkeypatch, distance):
+    spec = ShuffleSpec(6, 2, "shelf-standard")
+    assert distance(spec) >= 0
+    honest = analysis.op_vector
+
+    def bump_middle(n, m, mode):
+        ops = honest(n, m, mode)
+        ops[1] += 1  # the extremes k = 0 and k_max keep their values
+        return ops
+
+    monkeypatch.setattr(analysis, "op_vector", bump_middle)
+    with pytest.raises(ValueError, match="not .* outcomes"):
+        distance(spec)
+    monkeypatch.setattr(analysis, "op_vector", lambda n, m, mode: honest(n, m, mode)[:-1])
+    with pytest.raises(ValueError):
+        distance(spec)
+
+
+@pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
+def test_scaling_window_linf_gap_shrinks(c):
+    """At m = round(c n^(3/2)) the lazy l-infinity distance approaches
+    exp(1/(12 c^2)) - 1 (Diaconis-Fulman-Holmes); the gap shrinks
+    strictly as the deck doubles.  Separation's gap is not monotone in n
+    (at c = 0.5 it grows from n = 26 to 52 and from 208 to 416)."""
+    limit = math.exp(1 / (12 * c * c)) - 1
+    gaps = [
+        abs(float(linf_distance(ShuffleSpec(n, round(c * n**1.5), "shelf-lazy"))) - limit)
+        for n in (52, 104, 208, 416)
+    ]
+    assert all(a > b for a, b in zip(gaps, gaps[1:])), gaps
 
 
 def test_extreme_classes_attain_sep_and_linf():

@@ -73,6 +73,21 @@ def test_simulate_writes_output_file(tmp_path, capsys):
     assert len(target.read_text().splitlines()) == 4
 
 
+def test_simulate_negative_count_is_usage_error(capsys):
+    code, out, err = run(capsys, "simulate", "--model", "shelf-lazy", "--n", "4",
+                         "--m", "1", "--count", "-3")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--count" in err
+
+
+def test_output_into_missing_directory_is_io_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "table.txt"
+    code, out, err = run(capsys, "tv-table", "--n", "4", "--m", "2", "--output", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not target.exists()
+
+
 def test_tv_table_matches_library(capsys):
     code, out, _ = run(capsys, "tv-table", "--n", "8", "--m", "2,3",
                        "--model", "shelf-lazy", "--format", "csv")

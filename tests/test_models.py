@@ -53,6 +53,13 @@ def test_spec_validation():
             ShuffleSpec(4, 0, model)
 
 
+def test_spec_rejects_bools_and_floats():
+    # bools are ints to Python and floats fail late in the exact engine
+    for n, m in ((True, 1), (5, False), (5.0, 2), (5, 2.0)):
+        with pytest.raises(ValueError, match="must be ints"):
+            ShuffleSpec(n, m, "shelf-lazy")
+
+
 def test_spec_properties():
     per_card = {
         "shelf-lazy": 7,

@@ -19,6 +19,7 @@ from shuffle_lab.orderpoly import (
     op_plus,
     op_poset,
     op_star,
+    op_vector,
     statistic_range,
     verify_decomposition,
 )
@@ -90,6 +91,28 @@ def test_closed_forms_equal_enumeration_on_chains():
                     assert op_of_perm(p, m, mode) == len(
                         enumerate_bounded(chain, m, mode)
                     )
+
+
+def test_op_vector_equals_per_class_op_chain():
+    for n in range(1, 41):
+        for m, mode in itertools.product((0, 1, 2, 3, 7, 50, round(n**1.5)), MODES):
+            ks = statistic_range(mode_statistic(mode), n)
+            assert op_vector(n, m, mode) == [op_chain(n, k, m, mode) for k in ks], (n, m, mode)
+
+
+@pytest.mark.parametrize("n", [200, 500])
+def test_op_vector_large_n_classes(n):
+    for m, mode in itertools.product((0, 3, round(n**1.5)), MODES):
+        vector = op_vector(n, m, mode)
+        assert len(vector) == len(statistic_range(mode_statistic(mode), n))
+        for k in (0, 1, len(vector) - 1):
+            assert vector[k] == op_chain(n, k, m, mode), (n, m, mode, k)
+
+
+def test_op_vector_guardrails():
+    for n, m, mode in ((0, 1, "all"), (3, -1, "nonzero"), (3, 1, "bogus")):
+        with pytest.raises(ValueError):
+            op_vector(n, m, mode)
 
 
 def test_op_poset_antichain_and_chains():

@@ -17,6 +17,7 @@ from shuffle_lab.ppartitions import (
     BarredInt,
     ShuffleOutcome,
     alphabet,
+    alphabet_size,
     bar,
     bottom_deal_permutation,
     enumerate_bounded,
@@ -86,6 +87,14 @@ def test_alphabet_modes():
         alphabet(2, "barred")
     with pytest.raises(ValueError):
         alphabet(-1, "all")
+
+
+def test_alphabet_size_counts_the_alphabet():
+    for m, mode in itertools.product(range(12), MODES):
+        assert alphabet_size(m, mode) == len(alphabet(m, mode))
+    for m, mode in ((2, "barred"), (-1, "all")):
+        with pytest.raises(ValueError):
+            alphabet_size(m, mode)
 
 
 def test_sorting_permutation_examples():
