@@ -16,6 +16,7 @@ scaling u by 1/(2m+1) turns degree-n coefficients into probabilities.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,8 +47,8 @@ __all__ = [
     "verify_joint_lpk_cycle",
 ]
 
-# the truncated-series engine is exact but superexponential in memory; the
-# partition count at degree 30 is still comfortable
+# the series holds one integer per partition of each degree d <= n, each
+# below (2m+1)^d: 28,629 keys in all at n = 30, which is still comfortable
 SERIES_CAP = 30
 
 
@@ -302,16 +303,49 @@ class CycleSeries:
         return {k: v for k, v in self.coeffs.items() if sum(k) == d}
 
 
+def _two_sided_power(f: int, terms: int) -> list[int]:
+    """[x^j] ((1 + x)/(1 - x))^f for j < terms.
+
+    The series g satisfies (1 - x^2) g' = 2 f g, so its coefficients obey
+    (j + 1) a_(j+1) = 2 f a_j + (j - 1) a_(j-1), with a_0 = 1.
+
+    >>> _two_sided_power(3, 4)
+    [1, 6, 18, 38]
+    >>> power = CycleSeries.two_sided_factor(2, 6).pow(3)
+    >>> [power.coeffs.get((2,) * j, 0) for j in range(4)]
+    [1, 6, 18, 38]
+    """
+    coeffs = [1, 2 * f]
+    for j in range(1, terms - 1):
+        coeffs.append((2 * f * coeffs[j] + (j - 1) * coeffs[j - 1]) // (j + 1))
+    return coeffs[:terms]
+
+
 def cycle_count_series(n: int, m: int) -> CycleSeries:
     """The integer-coefficient product series truncated at degree n; the
     coefficient of a partition of d, divided by (2m+1)^d, is the chance a
-    lazy pass on d cards has that cycle type."""
+    lazy pass on d cards has that cycle type.
+
+    Each factor's power is written down by its coefficient recurrence, and
+    the factors are multiplied in from i = n down to 1, so appending i-parts
+    to a partition keeps it largest part first.  The z_1 geometric series
+    joins the i = 1 factor as prefix sums of its coefficients.
+    """
     if n > SERIES_CAP:
         raise ValueError(f"series degree capped at {SERIES_CAP}")
-    series = CycleSeries.geometric_z1(n)
-    for i in range(1, n + 1):
-        series = series * CycleSeries.two_sided_factor(i, n).pow(f_im(i, m))
-    return series
+    coeffs: dict[tuple[int, ...], int] = {(): 1}
+    for i in range(n, 0, -1):
+        power = _two_sided_power(f_im(i, m), n // i + 1)
+        if i == 1:
+            power = list(itertools.accumulate(power))
+        grown: dict[tuple[int, ...], int] = {}
+        for part, c in coeffs.items():
+            room = (n - sum(part)) // i
+            for j, a in enumerate(power[: room + 1]):
+                if a:
+                    grown[part + (i,) * j] = c * a
+        coeffs = grown
+    return CycleSeries(n, coeffs)
 
 
 def cycle_distribution(spec: ShuffleSpec) -> dict[tuple[int, ...], Fraction]:

@@ -12,6 +12,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import analysis, models, orderpoly, posets, ppartitions
 from .permutations import (
@@ -175,7 +176,6 @@ def _verify_convention(n: int) -> tuple[bool, str]:
 
 
 def _verify_decomposition(n: int, perturbation: int = 0) -> tuple[bool, str]:
-    worst = None
     for size in range(1, n + 1):
         for mode in ppartitions.MODES:
             for k in range(3):
@@ -184,9 +184,7 @@ def _verify_decomposition(n: int, perturbation: int = 0) -> tuple[bool, str]:
                         size, k, l, mode, perturbation=perturbation
                     )
                     if not report.ok:
-                        worst = report
-    if worst is not None:
-        return False, f"mismatch: {worst.to_dict()}"
+                        return False, f"mismatch: {report.to_dict()}"
     return True, f"two-pass decomposition holds up to n={n}, k,l<=2, all modes"
 
 
@@ -212,22 +210,22 @@ def _verify_group_algebra(n: int) -> tuple[bool, str]:
 
 def _verify_fundamental(n: int) -> tuple[bool, str]:
     size = min(n, 4)
+
+    @lru_cache(maxsize=None)  # chain pieces recur across posets
+    def piece(p: tuple[int, ...], m: int, mode: str) -> frozenset:
+        return frozenset(ppartitions.enumerate_bounded(posets.Poset.chain(p), m, mode))
+
     for poset in posets.all_posets(size):
         extensions = poset.linear_extensions()
         for mode in ppartitions.MODES:
             for m in range(3):
                 whole = set(ppartitions.enumerate_bounded(poset, m, mode))
-                pieces: list[set] = [
-                    set(
-                        ppartitions.enumerate_bounded(posets.Poset.chain(p), m, mode)
-                    )
-                    for p in extensions
-                ]
                 union: set = set()
                 total = 0
-                for piece in pieces:
-                    union |= piece
-                    total += len(piece)
+                for p in extensions:
+                    part = piece(p, m, mode)
+                    union |= part
+                    total += len(part)
                 if union != whole or total != len(whole):
                     return False, f"partition failure: poset={poset}, mode={mode}, m={m}"
     return True, f"bounded partitions split by linear extension on all posets, n<={size}"
@@ -299,6 +297,8 @@ _VERIFIERS = {
 def cmd_verify(args: argparse.Namespace) -> int:
     names = [args.only] if args.only else list(_VERIFIERS)
     cap = orderpoly.EXHAUSTIVE_CAP
+    if args.n is not None and args.n < 1:
+        raise ValueError("--n must be at least 1")
     if args.n is not None and args.n > cap and args.only != "monotonicity":
         raise ValueError(f"exhaustive verification refuses n > {cap}")
     results = []

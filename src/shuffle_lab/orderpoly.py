@@ -17,11 +17,14 @@ which k are structurally meaningful.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb
-from typing import Iterable
+from operator import itemgetter, mul
+from typing import Iterable, Iterator
 
-from .permutations import Perm, all_permutations, compose, statistic
+from .permutations import Perm, all_permutations, statistic
 from .posets import Poset
 
 __all__ = [
@@ -242,6 +245,88 @@ class DecompositionReport:
         return d
 
 
+def _adjacent_swaps(n: int) -> Iterator[int]:
+    """Positions a (0-based) such that swapping entries a, a + 1 in turn,
+    starting from the identity, visits every permutation of S_n exactly
+    once (Steinhaus-Johnson-Trotter): n! - 1 swaps.
+
+    >>> list(_adjacent_swaps(3))
+    [1, 0, 1, 0, 1]
+    """
+    perm = list(range(1, n + 1))
+    left = [True] * (n + 1)  # direction each value moves in
+    while True:
+        mobile, pos = 0, -1  # largest value whose neighbour ahead is smaller
+        for q, v in enumerate(perm):
+            r = q - 1 if left[v] else q + 1
+            if v > mobile and 0 <= r < n and perm[r] < v:
+                mobile, pos = v, q
+        if not mobile:
+            return
+        r = pos - 1 if left[mobile] else pos + 1
+        perm[pos], perm[r] = perm[r], perm[pos]
+        yield min(pos, r)
+        for v in range(mobile + 1, n + 1):
+            left[v] = not left[v]
+
+
+def _right_multiplication_tables(
+    perms: list[Perm],
+) -> Iterator[tuple[Perm, list[int]]]:
+    """(t, table) for every t in S_n, where ``perms`` lists S_n and
+    perms[table[a]] == compose(perms[a], t).
+
+    Consecutive t differ by one adjacent swap s, and compose(s', t s) is
+    compose(s', t) with two entries swapped, so each table is the previous
+    one read through the swap's table: n! list lookups, no tuple hashing.
+    """
+    n = len(perms[0])
+    index = {p: a for a, p in enumerate(perms)}
+    swap_tables = []
+    for a in range(n - 1):
+        positions = list(range(n))
+        positions[a], positions[a + 1] = a + 1, a
+        swap_tables.append(list(map(index.__getitem__, map(itemgetter(*positions), perms))))
+    t = list(range(1, n + 1))
+    table = list(range(len(perms)))
+    yield tuple(t), table
+    for a in _adjacent_swaps(n):
+        t[a], t[a + 1] = t[a + 1], t[a]
+        table = list(map(swap_tables[a].__getitem__, table))
+        yield tuple(t), table
+
+
+@lru_cache(maxsize=8)
+def _class_products(
+    n: int, kind: str
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[tuple[Perm, int, int], ...]]:
+    """Structure constants of the statistic-class sums in the group algebra
+    of S_n: N_ij(pi) = #{(sigma, tau) : sigma tau = pi, stat sigma = i,
+    stat tau = j}, counted over all n!^2 products.
+
+    Returns the class values, the distinct rows N(pi) (entries over the
+    pairs (i, j) in itertools.product order), and (pi, stat pi, row number)
+    for every pi in lexicographic order.
+    """
+    perms = list(all_permutations(n))
+    stats = [statistic(p, kind) for p in perms]
+    members: dict[int, list[int]] = {}
+    for a, stat in enumerate(stats):
+        members.setdefault(stat, []).append(a)
+    values = tuple(sorted(members))
+    counts = {pair: Counter() for pair in itertools.product(values, values)}
+    for t, table in _right_multiplication_tables(perms):
+        j = statistic(t, kind)
+        for i in values:
+            counts[i, j].update(map(table.__getitem__, members[i]))
+    row_number: dict[tuple[int, ...], int] = {}
+    entries = []
+    for a, (p, stat) in enumerate(zip(perms, stats)):
+        row = tuple(count[a] for count in counts.values())
+        entries.append((p, stat, row_number.setdefault(row, len(row_number))))
+    return values, tuple(row_number), tuple(entries)
+
+
 def verify_decomposition(
     n: int, k: int, l: int, mode: str = "all", perturbation: int = 0
 ) -> DecompositionReport:
@@ -249,6 +334,10 @@ def verify_decomposition(
     factorizations sigma*tau = pi reproduces the single convolved bound:
 
         sum_{sigma tau = pi} op_sigma(k) op_tau(l) = op_pi(convolved_bound)
+
+    A factorization's term depends only on the statistic classes of sigma
+    and tau, so the left side is sum_ij op_k(i) op_l(j) N_ij(pi), read off
+    the class-product table of S_n (built once per n and statistic).
 
     ``perturbation`` is a negative-control knob: it offsets the convolved
     bound so the check must fail (used by the CLI self test).
@@ -259,21 +348,18 @@ def verify_decomposition(
         raise ValueError("bounds must be nonnegative")
     kind = mode_statistic(mode)
     target_m = convolved_bound(k, l, mode) + perturbation
-    lhs: dict[Perm, int] = {p: 0 for p in all_permutations(n)}
-    op_k = {p: op_chain(n, statistic(p, kind), k, mode) for p in lhs}
-    op_l = {p: op_chain(n, statistic(p, kind), l, mode) for p in lhs}
-    for s in lhs:
-        if op_k[s] == 0:
-            continue
-        for t in lhs:
-            lhs[compose(s, t)] += op_k[s] * op_l[t]
-    checked = 0
-    for p, total in sorted(lhs.items()):
-        checked += 1
-        rhs = op_chain(n, statistic(p, kind), target_m, mode)
-        if total != rhs:
-            return DecompositionReport(n, k, l, mode, False, checked, (p, total, rhs))
-    return DecompositionReport(n, k, l, mode, True, checked)
+    values, rows, entries = _class_products(n, kind)
+    op_k = [op_chain(n, i, k, mode) for i in values]
+    op_l = [op_chain(n, j, l, mode) for j in values]
+    weights = [a * b for a, b in itertools.product(op_k, op_l)]
+    lhs = [sum(map(mul, weights, row)) for row in rows]
+    rhs_of = {i: op_chain(n, i, target_m, mode) for i in values}
+    for checked, (p, stat, row) in enumerate(entries, start=1):
+        if lhs[row] != rhs_of[stat]:
+            return DecompositionReport(
+                n, k, l, mode, False, checked, (p, lhs[row], rhs_of[stat])
+            )
+    return DecompositionReport(n, k, l, mode, True, len(entries))
 
 
 @dataclass(frozen=True)
@@ -314,8 +400,9 @@ def check_monotonicity(n: int, m: int, mode: str = "all") -> MonotonicityReport:
 
 def composition_convention_check(sizes: Iterable[int] = (3, 4)) -> bool:
     """Self test pinning the composition convention: the decomposition
-    identities must hold with compose(s, t) = s-after-t, for all modes and
-    small bounds.  Raises AssertionError on failure."""
+    identities must hold with compose(s, t) = s-after-t (the products
+    verify_decomposition counts), for all modes and small bounds.  Raises
+    AssertionError on failure."""
     for n, mode, (k, l) in itertools.product(
         sizes, _MODE_STAT, [(1, 1), (1, 2), (2, 1)]
     ):

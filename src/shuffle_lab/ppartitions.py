@@ -16,6 +16,7 @@ encode through the pile poset of the cut.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache, total_ordering
 
@@ -212,36 +213,54 @@ def bottom_deal_permutation(f: PPartition) -> Perm:
 def enumerate_bounded(poset: Poset, m: int, mode: str = "all") -> list[PPartition]:
     """All P-partitions of the poset with every magnitude at most m.
 
-    Backtracks over elements 1..n, checking each covering pair once both
-    endpoints are assigned.  Refuses instances with more than 10^7
-    candidate functions.
+    Backtracks over elements 1..n on integer ranks (barred <=> odd rank).
+    Each covering pair bounds its later-labelled endpoint by the value
+    already given to the other: a tie is allowed on an even rank when the
+    lower element has the smaller label, on an odd rank otherwise.  So
+    every element runs, in increasing order, over one interval of the
+    alphabet, found by bisecting its ranks.  Refuses instances with more
+    than 10^7 candidate functions.
     """
     n = poset.n
     if (2 * m + 1) ** n > ENUMERATION_CAP:
         raise ValueError(f"(2m+1)^n = {(2 * m + 1) ** n} exceeds enumeration cap")
     values = alphabet(m, mode)
-    # covering pairs keyed by whichever endpoint is assigned later
-    pending: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
-    for i, j in poset.covers():
-        pending[max(i, j)].append((i, j))
-
-    out: list[PPartition] = []
+    ranks = [v.rank for v in values]
     if n == 0:
         return [()]
-    if not values:
-        return out
-    f: list[BarredInt] = [values[0]] * n
+    # for each element, the earlier-labelled elements it covers / is covered by
+    below: list[list[int]] = [[] for _ in range(n)]
+    above: list[list[int]] = [[] for _ in range(n)]
+    for i, j in poset.covers():
+        if i < j:
+            below[j - 1].append(i - 1)
+        else:
+            above[i - 1].append(j - 1)
+    out: list[PPartition] = []
+    f = [0] * n  # ranks of the assigned prefix
+    top = 2 * m
 
-    def assign(e: int) -> None:
-        if e > n:
-            out.append(tuple(f))
+    def assign(e: int, prefix: PPartition) -> None:
+        # f[e] >= f[i] with a tie on even ranks, f[e] <= f[j] with a tie on odd
+        lo = 0
+        for i in below[e]:
+            r = f[i] + (f[i] & 1)
+            if r > lo:
+                lo = r
+        hi = top
+        for j in above[e]:
+            r = f[j] - 1 + (f[j] & 1)
+            if r < hi:
+                hi = r
+        first, last = bisect_left(ranks, lo), bisect_right(ranks, hi)
+        if e + 1 == n:
+            out.extend([prefix + (v,) for v in values[first:last]])
             return
-        for v in values:
-            f[e - 1] = v
-            if all(_pair_ok(i, j, f[i - 1], f[j - 1]) for i, j in pending[e]):
-                assign(e + 1)
+        for x in range(first, last):
+            f[e] = ranks[x]
+            assign(e + 1, prefix + (values[x],))
 
-    assign(1)
+    assign(0, ())
     return out
 
 

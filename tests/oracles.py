@@ -14,11 +14,18 @@ import math
 from collections import Counter
 from fractions import Fraction
 
-from shuffle_lab.analysis import count_table
+from shuffle_lab.analysis import CycleSeries, count_table, f_im
 from shuffle_lab.models import ShuffleSpec
-from shuffle_lab.orderpoly import op_chain, statistic_range
+from shuffle_lab.orderpoly import (
+    DecompositionReport,
+    convolved_bound,
+    mode_statistic,
+    op_chain,
+    statistic_range,
+)
+from shuffle_lab.permutations import Perm, all_permutations, compose, statistic
 from shuffle_lab.posets import Poset
-from shuffle_lab.ppartitions import BarredInt, PPartition
+from shuffle_lab.ppartitions import BarredInt, PPartition, alphabet
 
 
 def _rank(v: BarredInt) -> int:
@@ -91,6 +98,65 @@ def fraction_distances(spec: ShuffleSpec) -> tuple[Fraction, Fraction, Fraction]
     sep = max(1 - scaled for scaled in extremes)
     linf = max(abs(scaled - 1) for scaled in extremes)
     return tv, sep, linf
+
+
+def product_loop_decomposition(
+    n: int, k: int, l: int, mode: str = "all", perturbation: int = 0
+) -> DecompositionReport:
+    """The two-pass decomposition check by the full n!^2 product loop:
+    accumulate op_sigma(k) op_tau(l) onto compose(sigma, tau) for every
+    pair, then compare each pi, in lexicographic order, with the single
+    pass at the convolved bound."""
+    kind = mode_statistic(mode)
+    target_m = convolved_bound(k, l, mode) + perturbation
+    lhs: dict[Perm, int] = {p: 0 for p in all_permutations(n)}
+    op_k = {p: op_chain(n, statistic(p, kind), k, mode) for p in lhs}
+    op_l = {p: op_chain(n, statistic(p, kind), l, mode) for p in lhs}
+    for s in lhs:
+        for t in lhs:
+            lhs[compose(s, t)] += op_k[s] * op_l[t]
+    checked = 0
+    for p, total in sorted(lhs.items()):
+        checked += 1
+        rhs = op_chain(n, statistic(p, kind), target_m, mode)
+        if total != rhs:
+            return DecompositionReport(n, k, l, mode, False, checked, (p, total, rhs))
+    return DecompositionReport(n, k, l, mode, True, checked)
+
+
+def pow_product_cycle_series(n: int, m: int) -> CycleSeries:
+    """The lazy pass's cycle series as the literal truncated product
+    1/(1 - z_1 u) * prod_i two_sided_factor(i)^f(i, m), each power taken
+    by CycleSeries.pow (square and multiply)."""
+    series = CycleSeries.geometric_z1(n)
+    for i in range(1, n + 1):
+        series = series * CycleSeries.two_sided_factor(i, n).pow(f_im(i, m))
+    return series
+
+
+def by_label_enumerate(poset: Poset, m: int, mode: str) -> list[PPartition]:
+    """Bounded P-partitions by backtracking over elements 1..n with
+    BarredInt values: each element tries every alphabet value in
+    increasing order, and a covering pair is checked once both endpoints
+    are assigned."""
+    values = alphabet(m, mode)
+    pending: list[list[tuple[int, int]]] = [[] for _ in range(poset.n + 1)]
+    for i, j in poset.covers():
+        pending[max(i, j)].append((i, j))
+    out: list[PPartition] = []
+    f: list[BarredInt] = [BarredInt(0)] * poset.n
+
+    def assign(e: int) -> None:
+        if e > poset.n:
+            out.append(tuple(f))
+            return
+        for v in values:
+            f[e - 1] = v
+            if all(brute_pair_ok(i, j, f[i - 1], f[j - 1]) for i, j in pending[e]):
+                assign(e + 1)
+
+    assign(1)
+    return out
 
 
 class ScriptedRNG:

@@ -28,7 +28,7 @@ from shuffle_lab.models import MODELS, ShuffleSpec, exact_distribution, exact_pr
 from shuffle_lab.orderpoly import statistic_range
 from shuffle_lab.permutations import all_permutations, cycle_type_partition, fixed_points
 
-from .oracles import brute_statistic_counts, fraction_distances
+from .oracles import brute_statistic_counts, fraction_distances, pow_product_cycle_series
 
 
 def test_count_table_examples():
@@ -201,6 +201,19 @@ def test_cycle_count_series_z1_reduction():
         for d in range(7):
             total = sum(series.degree_slice(d).values())
             assert total == (2 * m + 1) ** d
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 10])
+def test_cycle_count_series_equals_pow_product(m):
+    for n in range(13):
+        series = cycle_count_series(n, m)
+        oracle = pow_product_cycle_series(n, m)
+        assert series.truncation == oracle.truncation == n
+        assert series.coeffs == oracle.coeffs, (n, m)
+
+
+def test_cycle_count_series_equals_pow_product_at_25():
+    assert cycle_count_series(25, 1).coeffs == pow_product_cycle_series(25, 1).coeffs
 
 
 def test_cycle_count_series_cap():

@@ -139,10 +139,26 @@ def test_verify_rejects_large_n(capsys):
     assert code == 2 and "refuses" in err
 
 
+def test_verify_rejects_n_below_one(capsys):
+    # a check over no case is a usage error, not a PASS
+    for argv in (("--only", "oracle", "--n", "0"), ("--only", "decomposition", "--n", "-2")):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == "" and "--n must be at least 1" in err
+
+
 def test_verify_corrupt_self_test_fails(capsys):
     code, out, _ = run(capsys, "verify", "--self-test-corrupt")
     assert code == 1
     assert out.startswith("FAIL decomposition[corrupted]")
+
+
+def test_verify_decomposition_reports_first_mismatch(capsys):
+    # the perturbed bound already fails at n = 1, k = l = 0, the first case
+    code, out, _ = run(capsys, "verify", "--self-test-corrupt", "--format", "json")
+    assert code == 1
+    (result,) = json.loads(out)
+    assert result["ok"] is False
+    assert "'n': 1, 'k': 0, 'l': 0, 'mode': 'all'" in result["detail"]
 
 
 def test_cycles_probabilities_sum_to_one(capsys):

@@ -2,10 +2,12 @@
 built on them."""
 
 import itertools
+from collections import Counter
 from math import comb
 
 import pytest
 
+from shuffle_lab import orderpoly
 from shuffle_lab.orderpoly import (
     EXHAUSTIVE_CAP,
     check_monotonicity,
@@ -23,11 +25,11 @@ from shuffle_lab.orderpoly import (
     statistic_range,
     verify_decomposition,
 )
-from shuffle_lab.permutations import all_permutations, statistic
+from shuffle_lab.permutations import all_permutations, compose, statistic
 from shuffle_lab.posets import Poset, all_posets
 from shuffle_lab.ppartitions import MODES, enumerate_bounded
 
-from .oracles import brute_statistic_counts
+from .oracles import brute_statistic_counts, product_loop_decomposition
 
 
 def test_mode_statistic():
@@ -180,6 +182,54 @@ def test_verify_decomposition():
             assert report.first_mismatch is None
     report = verify_decomposition(3, 2, 2, "positive")
     assert report.ok and report.to_dict()["identity"] == "decomposition"
+
+
+def test_verify_decomposition_equals_product_loop():
+    # the class-product table against the full n!^2 product loop: the same
+    # report, down to checked and the first mismatch
+    for n, mode in itertools.product(range(1, 6), MODES):
+        for k, l, perturbation in itertools.product(range(4), range(4), (0, 1)):
+            assert verify_decomposition(
+                n, k, l, mode, perturbation
+            ) == product_loop_decomposition(n, k, l, mode, perturbation), (n, mode, k, l)
+    for k, l, mode, perturbation in [
+        (1, 2, "all", 0),
+        (2, 1, "nonzero", 0),
+        (2, 2, "positive", 0),
+        (1, 1, "all", 1),
+    ]:
+        assert verify_decomposition(
+            6, k, l, mode, perturbation
+        ) == product_loop_decomposition(6, k, l, mode, perturbation), (mode, k, l)
+
+
+def test_right_multiplication_tables_equal_compose():
+    # the tables behind the class products are compose(s, t), so the
+    # decomposition checks keep pinning the composition convention
+    for n in range(1, 5):
+        perms = list(all_permutations(n))
+        seen = []
+        for t, table in orderpoly._right_multiplication_tables(perms):
+            seen.append(t)
+            assert [perms[a] for a in table] == [compose(s, t) for s in perms], t
+        assert sorted(seen) == perms
+
+
+def test_class_products_count_factorizations():
+    # N_ij(pi) = #{(sigma, tau) : sigma tau = pi, stat sigma = i, stat tau = j}
+    for n, kind in itertools.product(range(1, 5), ("lpk", "pk", "des")):
+        perms = list(all_permutations(n))
+        brute = Counter(
+            (statistic(s, kind), statistic(t, kind), compose(s, t))
+            for s in perms
+            for t in perms
+        )
+        values, rows, entries = orderpoly._class_products(n, kind)
+        assert [p for p, _, _ in entries] == perms
+        for p, stat, row in entries:
+            assert stat == statistic(p, kind)
+            expected = [brute[i, j, p] for i, j in itertools.product(values, values)]
+            assert list(rows[row]) == expected, (n, kind, p)
 
 
 def test_verify_decomposition_negative_control():

@@ -34,7 +34,7 @@ from shuffle_lab.ppartitions import (
     variant_mode,
 )
 
-from .oracles import brute_enumerate, brute_is_p_partition
+from .oracles import brute_enumerate, brute_is_p_partition, by_label_enumerate
 
 ZERO = BarredInt(0)
 
@@ -153,6 +153,22 @@ def test_enumerate_matches_brute_filter():
                     mine = enumerate_bounded(poset, m, mode)
                     assert len(mine) == len(set(mine))
                     assert set(mine) == set(brute_enumerate(poset, m, mode))
+
+
+def test_enumerate_equals_by_label_backtrack():
+    # the same maps in the same order as the BarredInt backtrack by label
+    for n in range(5):
+        for poset in all_posets(n):
+            for mode, m in itertools.product(MODES, range(3)):
+                assert enumerate_bounded(poset, m, mode) == by_label_enumerate(
+                    poset, m, mode
+                ), (poset, mode, m)
+    for p in all_permutations(5):
+        chain = Poset.chain(p)
+        for mode, m in itertools.product(MODES, range(4)):
+            assert enumerate_bounded(chain, m, mode) == by_label_enumerate(
+                chain, m, mode
+            ), (p, mode, m)
 
 
 def test_enumerate_cap():
