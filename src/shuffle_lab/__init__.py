@@ -3,90 +3,16 @@ machines (lazy/standard/strict shelf shufflers and up-down/down-up/classic
 riffles) through their common encoding as maps into a barred-integer
 alphabet.
 
-The useful entry points re-exported here:
+The modules:
 
 - permutations: statistics (descents, peaks, left peaks), composition.
-- ppartitions: the value alphabet, sorting permutation, outcome encodings.
+- ppartitions: the mode table, the value alphabet, sorting permutation,
+  outcome encodings.
 - orderpoly: exact chain counts and identity verification.
-- models: samplers, exact probabilities and distributions, convolution.
+- models: the model table, samplers, exact probabilities and
+  distributions, convolution.
 - analysis: count tables, distances to uniform, cycle structure.
 - cli: the `shuffle-lab` command.
 """
-
-from .analysis import (
-    AsymptoticReport,
-    CountTable,
-    CycleSeries,
-    asymptotic_compare,
-    count_table,
-    cycle_distribution,
-    des_counts,
-    expected_fixed_points,
-    f_im,
-    linf_distance,
-    lpk_counts,
-    pk_counts,
-    sep_distance,
-    tv_distance,
-    verify_joint_lpk_cycle,
-)
-from .models import (
-    MODELS,
-    RIFFLE_MODELS,
-    SHELF_MODELS,
-    ExactDist,
-    ShuffleSpec,
-    convolve,
-    exact_dist_to_json_dict,
-    exact_distribution,
-    exact_prob,
-    group_algebra_product_check,
-    simulate_riffle,
-    simulate_riffle_uniform,
-    simulate_shelf,
-)
-from .orderpoly import (
-    check_monotonicity,
-    composition_convention_check,
-    op_lazy,
-    op_plus,
-    op_poset,
-    op_star,
-    statistic_range,
-    verify_decomposition,
-)
-from .permutations import (
-    Perm,
-    all_permutations,
-    compose,
-    cycle_type,
-    cycle_type_partition,
-    descents,
-    fixed_points,
-    format_permutation,
-    identity,
-    inverse,
-    left_peaks,
-    parse_permutation,
-    peaks,
-)
-from .posets import Poset, all_posets
-from .ppartitions import (
-    BarredInt,
-    MODES,
-    ShuffleOutcome,
-    alphabet,
-    bar,
-    bottom_deal_permutation,
-    enumerate_bounded,
-    is_p_partition,
-    pile_poset,
-    ppartition_from_shelf_outcome,
-    rel_len,
-    rel_lp,
-    riffle_outcome_to_ppartition,
-    shelf_outcome_from_ppartition,
-    sorting_permutation,
-)
 
 __version__ = "0.1.0"

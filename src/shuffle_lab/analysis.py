@@ -353,14 +353,11 @@ def cycle_distribution(spec: ShuffleSpec) -> dict[tuple[int, ...], Fraction]:
     under one lazy pass.  Masses are nonnegative and sum to 1."""
     if spec.model != "shelf-lazy":
         raise ValueError("cycle structure is computed for the lazy model only")
-    series = cycle_count_series(spec.n, spec.m)
-    out = {
-        part: Fraction(c, spec.total_outcomes)
-        for part, c in sorted(series.degree_slice(spec.n).items())
-    }
-    if sum(out.values()) != 1:
+    counts = sorted(cycle_count_series(spec.n, spec.m).degree_slice(spec.n).items())
+    total = spec.total_outcomes
+    if sum(c for _, c in counts) != total:
         raise AssertionError("cycle-type masses do not sum to 1")
-    return out
+    return {part: Fraction(c, total) for part, c in counts}
 
 
 def expected_fixed_points(n: int, m: int) -> Fraction:

@@ -29,15 +29,6 @@ __all__ = ["main", "entry"]
 
 TABLE_M_DEFAULT = "10,15,20,25,30,35,50,100,150,200,250,300"
 
-_MODEL_LABEL = {
-    "shelf-lazy": "Lazy",
-    "shelf-standard": "Standard",
-    "shelf-strict": "Strict",
-    "riffle-updown": "Riffle-updown",
-    "riffle-downup": "Riffle-downup",
-    "riffle-classic": "Riffle-classic",
-}
-
 _DISTANCES = {
     "tv": analysis.tv_distance,
     "sep": analysis.sep_distance,
@@ -70,9 +61,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ValueError("--count must be nonnegative")
     spec = models.ShuffleSpec(args.n, args.m, args.model)
     rng = random.Random(args.seed)
-    sampler = (
-        models.simulate_shelf if args.model in models.SHELF_MODELS else models.simulate_riffle
-    )
+    sampler = models.simulate_riffle if spec.riffle else models.simulate_shelf
     rows = []
     for index in range(args.count):
         _, perm = sampler(spec, rng)
@@ -118,6 +107,7 @@ def cmd_tv_table(args: argparse.Namespace) -> int:
     if not ms:
         raise ValueError("empty m list")
     model_list = [args.model] if args.model else list(models.SHELF_MODELS)
+    labels = {model: models.MODELS[model].label for model in model_list}
     distance = _DISTANCES[args.distance]
     cells = {
         (model, m): distance(models.ShuffleSpec(args.n, m, model))
@@ -134,7 +124,7 @@ def cmd_tv_table(args: argparse.Namespace) -> int:
             "distance": args.distance,
             "m": ms,
             "rows": {
-                _MODEL_LABEL[model]: [render(cells[(model, m)]) for m in ms]
+                labels[model]: [render(cells[(model, m)]) for m in ms]
                 for model in model_list
             },
         }
@@ -143,11 +133,11 @@ def cmd_tv_table(args: argparse.Namespace) -> int:
         lines = ["model," + ",".join(str(m) for m in ms)]
         for model in model_list:
             lines.append(
-                _MODEL_LABEL[model] + "," + ",".join(render(cells[(model, m)]) for m in ms)
+                labels[model] + "," + ",".join(render(cells[(model, m)]) for m in ms)
             )
         text = "\n".join(lines) + "\n"
     else:
-        label_w = max(len(_MODEL_LABEL[model]) for model in model_list)
+        label_w = max(map(len, labels.values()))
         col_w = max(
             [len(str(m)) for m in ms]
             + [len(render(v)) for v in cells.values()]
@@ -157,7 +147,7 @@ def cmd_tv_table(args: argparse.Namespace) -> int:
         ]
         for model in model_list:
             lines.append(
-                _MODEL_LABEL[model].ljust(label_w)
+                labels[model].ljust(label_w)
                 + "  "
                 + "  ".join(render(cells[(model, m)]).rjust(col_w) for m in ms)
             )
@@ -200,9 +190,9 @@ def _verify_monotonicity(n: int) -> tuple[bool, str]:
 
 def _verify_group_algebra(n: int) -> tuple[bool, str]:
     size = min(n, 4)
-    for family in ("lazy", "standard", "strict"):
+    for model in models.MODELS:
         for k, l in ((1, 1), (1, 2)):
-            report = models.group_algebra_product_check(size, k, l, family)
+            report = models.group_algebra_product_check(size, k, l, model)
             if not report.ok:
                 return False, f"mismatch: {report.to_dict()}"
     return True, f"distribution convolution matches the single pass at n={size}"

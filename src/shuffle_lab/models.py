@@ -15,63 +15,68 @@ value-ordered piles (classic: m piles; down-up: 2m, odd piles flipped;
 up-down: 2m+1, even piles flipped) and interleave by dropping from pile
 bottoms with probability proportional to remaining pile size.
 
-Each model's per-permutation law is carried by one statistic of the
-permutation (shelf) or of its inverse (riffle):
-
-    lazy/up-down: lpk   standard/down-up: pk   strict/classic: des
+Each model's per-permutation law is carried by the statistic of its
+alphabet's mode, read off the permutation (shelf) or off its inverse
+(riffle); MODELS holds one row per machine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 from . import ppartitions as pp
 from .orderpoly import (
+    _factorization_sums,
     convolved_bound,
     mode_statistic,
     op_chain,
     op_vector,
 )
-from .permutations import Perm, all_permutations, compose, inverse, statistic
+from .permutations import Perm, inverse, statistic
 
 __all__ = [
     "ConvolutionReport",
     "ExactDist",
     "MODELS",
+    "Model",
     "RIFFLE_MODELS",
     "SHELF_MODELS",
     "ShuffleSpec",
     "convolve",
-    "exact_dist_to_json_dict",
     "exact_distribution",
     "exact_prob",
     "group_algebra_product_check",
-    "iter_shelf_placements",
     "simulate_riffle",
-    "simulate_riffle_uniform",
     "simulate_shelf",
 ]
 
-SHELF_MODELS = ("shelf-lazy", "shelf-standard", "shelf-strict")
-RIFFLE_MODELS = ("riffle-updown", "riffle-downup", "riffle-classic")
-MODELS = SHELF_MODELS + RIFFLE_MODELS
 
-_MODEL_MODE = {
-    "shelf-lazy": "all",
-    "shelf-standard": "nonzero",
-    "shelf-strict": "positive",
-    "riffle-updown": "all",
-    "riffle-downup": "nonzero",
-    "riffle-classic": "positive",
+@dataclass(frozen=True)
+class Model:
+    """One machine: its name, its row label in tables, the value alphabet
+    it places cards over, and whether its law is read off the inverse of
+    the deck order (riffles) rather than the deck order itself (shelves)."""
+
+    name: str
+    label: str
+    mode: str
+    riffle: bool
+
+
+MODELS = {
+    model.name: model
+    for model in (
+        Model("shelf-lazy", "Lazy", "all", False),
+        Model("shelf-standard", "Standard", "nonzero", False),
+        Model("shelf-strict", "Strict", "positive", False),
+        Model("riffle-updown", "Riffle-updown", "all", True),
+        Model("riffle-downup", "Riffle-downup", "nonzero", True),
+        Model("riffle-classic", "Riffle-classic", "positive", True),
+    )
 }
-_MODE_VARIANT = {"all": "up-down", "nonzero": "down-up", "positive": "classic"}
-_FAMILY_MODEL = {
-    "lazy": "shelf-lazy",
-    "standard": "shelf-standard",
-    "strict": "shelf-strict",
-}
+SHELF_MODELS = tuple(name for name, model in MODELS.items() if not model.riffle)
+RIFFLE_MODELS = tuple(name for name, model in MODELS.items() if model.riffle)
 
 
 @dataclass(frozen=True)
@@ -91,12 +96,17 @@ class ShuffleSpec:
         if self.n < 1 or self.m < 0:
             raise ValueError("require n >= 1 and m >= 0")
         # m = 0 leaves no placements unless the alphabet keeps the 0 value
-        if self.m == 0 and _MODEL_MODE[self.model] != "all":
+        if self.choices_per_card == 0:
             raise ValueError(f"m = 0 leaves {self.model!r} with no outcomes")
 
     @property
     def mode(self) -> str:
-        return _MODEL_MODE[self.model]
+        return MODELS[self.model].mode
+
+    @property
+    def riffle(self) -> bool:
+        """Whether the law is read off the inverse of the deck order."""
+        return MODELS[self.model].riffle
 
     @property
     def statistic_kind(self) -> str:
@@ -112,8 +122,9 @@ class ShuffleSpec:
         return self.choices_per_card**self.n
 
 
-def _require(spec: ShuffleSpec, models: tuple[str, ...]) -> None:
-    if spec.model not in models:
+def _require(spec: ShuffleSpec, riffle: bool) -> None:
+    if spec.riffle != riffle:
+        models = RIFFLE_MODELS if riffle else SHELF_MODELS
         raise ValueError(f"model {spec.model!r} not in {models}")
 
 
@@ -123,7 +134,7 @@ def simulate_shelf(spec: ShuffleSpec, rng) -> tuple[pp.ShuffleOutcome, Perm]:
 
     ``rng`` needs only randrange(k); random.Random works.
     """
-    _require(spec, SHELF_MODELS)
+    _require(spec, riffle=False)
     values = pp.alphabet(spec.m, spec.mode)
     width, randrange = len(values), rng.randrange
     draws = [randrange(width) for _ in range(spec.n)]
@@ -132,17 +143,6 @@ def simulate_shelf(spec: ShuffleSpec, rng) -> tuple[pp.ShuffleOutcome, Perm]:
         counts[d] += 1
     perm = pp.sorting_permutation(tuple(values[d] for d in draws))
     return pp.ShuffleOutcome(tuple(counts), perm), perm
-
-
-def iter_shelf_placements(spec: ShuffleSpec) -> Iterator[pp.PPartition]:
-    """All choices^n placement maps of a shelf machine (small n only)."""
-    _require(spec, SHELF_MODELS)
-    import itertools
-
-    values = pp.alphabet(spec.m, spec.mode)
-    if len(values) ** spec.n > pp.ENUMERATION_CAP:
-        raise ValueError("placement space exceeds enumeration cap")
-    return itertools.product(values, repeat=spec.n)
 
 
 def _riffle_cut(spec: ShuffleSpec, rng) -> list[int]:
@@ -154,23 +154,11 @@ def _riffle_cut(spec: ShuffleSpec, rng) -> list[int]:
     return sizes
 
 
-def _riffle_piles(spec: ShuffleSpec, sizes: list[int]) -> list[list[int]]:
-    # consecutive blocks of the deck, flipped when the pile value is barred
-    values = pp.alphabet(spec.m, spec.mode)
-    piles = []
-    start = 1
-    for v, a in zip(values, sizes):
-        block = list(range(start, start + a))
-        piles.append(block[::-1] if v.barred else block)
-        start += a
-    return piles
-
-
 def simulate_riffle(spec: ShuffleSpec, rng) -> tuple[pp.ShuffleOutcome, Perm]:
     """One riffle pass via proportional drops from pile bottoms."""
-    _require(spec, RIFFLE_MODELS)
+    _require(spec, riffle=True)
     sizes = _riffle_cut(spec, rng)
-    piles = _riffle_piles(spec, sizes)
+    piles = pp.cut_piles(pp.alphabet(spec.m, spec.mode), sizes)
     remaining = list(sizes)
     total = spec.n
     bottom_up: list[int] = []
@@ -187,20 +175,6 @@ def simulate_riffle(spec: ShuffleSpec, rng) -> tuple[pp.ShuffleOutcome, Perm]:
     return pp.ShuffleOutcome(tuple(sizes), deck), deck
 
 
-def simulate_riffle_uniform(spec: ShuffleSpec, rng) -> tuple[pp.ShuffleOutcome, Perm]:
-    """Cross-check sampler: same cut, then a uniformly random interleaving
-    (proportional dropping is equivalent; see the module tests)."""
-    _require(spec, RIFFLE_MODELS)
-    sizes = _riffle_cut(spec, rng)
-    piles = _riffle_piles(spec, sizes)
-    word = [idx for idx, a in enumerate(sizes) for _ in range(a)]
-    for i in range(len(word) - 1, 0, -1):  # Fisher-Yates
-        j = rng.randrange(i + 1)
-        word[i], word[j] = word[j], word[i]
-    deck = tuple(piles[idx].pop(0) for idx in word)
-    return pp.ShuffleOutcome(tuple(sizes), deck), deck
-
-
 def exact_prob(p: Perm, spec: ShuffleSpec) -> Fraction:
     """Exact probability that one pass produces deck order p.
 
@@ -208,7 +182,7 @@ def exact_prob(p: Perm, spec: ShuffleSpec) -> Fraction:
     """
     if len(p) != spec.n:
         raise ValueError(f"size mismatch: {len(p)} vs {spec.n}")
-    q = p if spec.model in SHELF_MODELS else inverse(p)
+    q = inverse(p) if spec.riffle else p
     k = statistic(q, spec.statistic_kind)
     return Fraction(op_chain(spec.n, k, spec.m, spec.mode), spec.total_outcomes)
 
@@ -236,12 +210,6 @@ class ExactDist:
                 return prob
         raise KeyError(k)
 
-    def class_size(self, k: int) -> int:
-        for kk, _, count in self.classes:
-            if kk == k:
-                return count
-        raise KeyError(k)
-
 
 def exact_distribution(spec: ShuffleSpec) -> ExactDist:
     """The full law of one pass, one row per statistic class."""
@@ -255,25 +223,6 @@ def exact_distribution(spec: ShuffleSpec) -> ExactDist:
         (k, Fraction(op, total), count) for k, (op, count) in enumerate(zip(ops, counts))
     )
     return ExactDist(spec, kind, rows)
-
-
-def exact_dist_to_json_dict(dist: ExactDist) -> dict:
-    """JSON form with decimal strings for the big integers."""
-    return {
-        "model": dist.spec.model,
-        "n": dist.spec.n,
-        "m": dist.spec.m,
-        "statistic": dist.statistic,
-        "classes": [
-            {
-                "k": k,
-                "count": str(count),
-                "prob_num": str(prob.numerator),
-                "prob_den": str(prob.denominator),
-            }
-            for k, prob, count in dist.classes
-        ],
-    }
 
 
 def convolve(spec1: ShuffleSpec, spec2: ShuffleSpec) -> ShuffleSpec:
@@ -322,31 +271,24 @@ def group_algebra_product_check(n: int, k: int, l: int, family: str) -> Convolut
     """Convolve the exact n!-point laws of two passes (parameters k then l)
     and compare with the single convolved pass, exactly.
 
-    ``family`` is "lazy", "standard" or "strict" (or a full model name).
-    The two laws share the denominator of the convolved law, so the sum
-    runs in integers; capped at n <= 6.
+    ``family`` is a model name, or "lazy", "standard" or "strict" for that
+    shelf machine.  The two laws share the denominator of the convolved
+    law, so the sum over products st = pi runs in integers, read off the
+    class-product table.  A riffle's law reads the inverse, and
+    (st)^-1 = t^-1 s^-1, so its sum at pi is the one at pi^-1 with the two
+    passes swapped.  Capped at n <= 6.
     """
     if n > 6:
         raise ValueError("exhaustive convolution check capped at n <= 6")
-    model = _FAMILY_MODEL.get(family, family)
+    model = family if family in MODELS else f"shelf-{family}"
     a, b = ShuffleSpec(n, k, model), ShuffleSpec(n, l, model)
     c = convolve(a, b)
     assert a.total_outcomes * b.total_outcomes == c.total_outcomes
-    kind = a.statistic_kind
-    read = (lambda p: p) if model in SHELF_MODELS else inverse
-    num_a = {
-        p: op_chain(n, statistic(read(p), kind), k, a.mode)
-        for p in all_permutations(n)
-    }
-    num_b = {p: op_chain(n, statistic(read(p), kind), l, a.mode) for p in num_a}
-    acc = {p: 0 for p in num_a}
-    for s, ns in num_a.items():
-        if ns == 0:
-            continue
-        for t, nt in num_b.items():
-            acc[compose(s, t)] += ns * nt
-    for p in sorted(acc):
-        lhs = Fraction(acc[p], c.total_outcomes)
+    first, second = (l, k) if a.riffle else (k, l)
+    sums, entries = _factorization_sums(n, first, second, a.mode)
+    row_of = {p: row for p, _, row in entries}
+    for p in row_of:
+        lhs = Fraction(sums[row_of[inverse(p) if a.riffle else p]], c.total_outcomes)
         rhs = exact_prob(p, c)
         if lhs != rhs:
             return ConvolutionReport(n, k, l, model, False, (p, lhs, rhs))

@@ -4,11 +4,9 @@ on: two-pass decomposition, monotonicity in the statistic, and the
 linear-extension sum for general posets.
 
 Everything is exact integer arithmetic.  For a chain labeled by a
-permutation, the count depends only on (n, statistic, bound m):
-
-    mode "all"      -> statistic lpk, op_lazy
-    mode "nonzero"  -> statistic pk,  op_star
-    mode "positive" -> statistic des, op_plus
+permutation, the count depends only on (n, statistic, bound m), with the
+statistic of the mode (ppartitions.MODES): op_lazy for "all", op_star for
+"nonzero", op_plus for "positive".
 
 Out-of-range statistic values give 0; statistic_range tells the caller
 which k are structurally meaningful.
@@ -26,6 +24,7 @@ from typing import Iterable, Iterator
 
 from .permutations import Perm, all_permutations, statistic
 from .posets import Poset
+from .ppartitions import MODES, lookup_mode
 
 __all__ = [
     "DecompositionReport",
@@ -49,15 +48,10 @@ __all__ = [
 # identity checks iterate over all of S_n (and S_n x S_n); refuse beyond this
 EXHAUSTIVE_CAP = 7
 
-_MODE_STAT = {"all": "lpk", "nonzero": "pk", "positive": "des"}
-
 
 def mode_statistic(mode: str) -> str:
     """The statistic indexing chain counts in the given mode."""
-    try:
-        return _MODE_STAT[mode]
-    except KeyError:
-        raise ValueError(f"unknown mode: {mode!r}") from None
+    return lookup_mode(mode).statistic
 
 
 def statistic_range(kind: str, n: int) -> range:
@@ -92,6 +86,8 @@ def op_star(n: int, k: int, m: int) -> int:
         raise ValueError("m must be nonnegative")
     if k not in statistic_range("pk", n):
         return 0
+    if n == 0:
+        return 1  # the empty map
     return 2 * 4**k * sum(
         comb(n - 1 + m - a, n) * comb(n - 1 - 2 * k, a - k) for a in range(k, n - k)
     )
@@ -107,6 +103,8 @@ def op_plus(n: int, k: int, m: int) -> int:
         raise ValueError("m must be nonnegative")
     if k not in statistic_range("des", n):
         return 0
+    if n == 0:
+        return 1  # the empty map
     return comb(n - 1 + m - k, n)
 
 
@@ -207,14 +205,11 @@ def gf_coefficients(n: int, k: int, mode: str, terms: int) -> list[int]:
 
 
 def convolved_bound(k: int, l: int, mode: str) -> int:
-    """Single-pass bound equivalent to passes with bounds k then l."""
-    if mode == "all":
-        return 2 * k * l + k + l
-    if mode == "nonzero":
-        return 2 * k * l
-    if mode == "positive":
-        return k * l
-    raise ValueError(f"unknown mode: {mode!r}")
+    """Single-pass bound equivalent to passes with bounds k then l: the
+    one whose alphabet has size(k) * size(l) values, 2kl + k + l (all),
+    2kl (nonzero) or kl (positive)."""
+    alphabet = lookup_mode(mode)
+    return alphabet.bound(alphabet.size(k) * alphabet.size(l))
 
 
 @dataclass(frozen=True)
@@ -327,6 +322,24 @@ def _class_products(
     return values, tuple(row_number), tuple(entries)
 
 
+def _factorization_sums(
+    n: int, k: int, l: int, mode: str
+) -> tuple[list[int], tuple[tuple[Perm, int, int], ...]]:
+    """(sums, entries): entries holds (pi, stat pi, row) for every pi in
+    S_n, in lexicographic order, and sums[row] is the sum over
+    factorizations sigma tau = pi of op_sigma(k) op_tau(l).
+
+    A factorization's term depends only on the statistic classes of sigma
+    and tau, so the sum is sum_ij op_k(i) op_l(j) N_ij(pi), read off the
+    class-product table of S_n (built once per n and statistic).
+    """
+    values, rows, entries = _class_products(n, mode_statistic(mode))
+    op_k = [op_chain(n, i, k, mode) for i in values]
+    op_l = [op_chain(n, j, l, mode) for j in values]
+    weights = [a * b for a, b in itertools.product(op_k, op_l)]
+    return [sum(map(mul, weights, row)) for row in rows], entries
+
+
 def verify_decomposition(
     n: int, k: int, l: int, mode: str = "all", perturbation: int = 0
 ) -> DecompositionReport:
@@ -335,10 +348,6 @@ def verify_decomposition(
 
         sum_{sigma tau = pi} op_sigma(k) op_tau(l) = op_pi(convolved_bound)
 
-    A factorization's term depends only on the statistic classes of sigma
-    and tau, so the left side is sum_ij op_k(i) op_l(j) N_ij(pi), read off
-    the class-product table of S_n (built once per n and statistic).
-
     ``perturbation`` is a negative-control knob: it offsets the convolved
     bound so the check must fail (used by the CLI self test).
     """
@@ -346,14 +355,12 @@ def verify_decomposition(
         raise ValueError(f"exhaustive check capped at n <= {EXHAUSTIVE_CAP}")
     if k < 0 or l < 0:
         raise ValueError("bounds must be nonnegative")
-    kind = mode_statistic(mode)
     target_m = convolved_bound(k, l, mode) + perturbation
-    values, rows, entries = _class_products(n, kind)
-    op_k = [op_chain(n, i, k, mode) for i in values]
-    op_l = [op_chain(n, j, l, mode) for j in values]
-    weights = [a * b for a, b in itertools.product(op_k, op_l)]
-    lhs = [sum(map(mul, weights, row)) for row in rows]
-    rhs_of = {i: op_chain(n, i, target_m, mode) for i in values}
+    lhs, entries = _factorization_sums(n, k, l, mode)
+    rhs_of = {
+        i: op_chain(n, i, target_m, mode)
+        for i in statistic_range(mode_statistic(mode), n)
+    }
     for checked, (p, stat, row) in enumerate(entries, start=1):
         if lhs[row] != rhs_of[stat]:
             return DecompositionReport(
@@ -404,7 +411,7 @@ def composition_convention_check(sizes: Iterable[int] = (3, 4)) -> bool:
     verify_decomposition counts), for all modes and small bounds.  Raises
     AssertionError on failure."""
     for n, mode, (k, l) in itertools.product(
-        sizes, _MODE_STAT, [(1, 1), (1, 2), (2, 1)]
+        sizes, MODES, [(1, 1), (1, 2), (2, 1)]
     ):
         report = verify_decomposition(n, k, l, mode)
         if not report.ok:

@@ -33,13 +33,10 @@ __all__ = [
     "parse_permutation",
     "peaks",
     "statistic",
-    "STATISTIC_KINDS",
 ]
 
 # one-line notation: position i (1-based) holds p[i-1]
 Perm = tuple[int, ...]
-
-STATISTIC_KINDS = ("lpk", "pk", "des")
 
 
 def check_permutation(p: Iterable[int]) -> Perm:

@@ -26,6 +26,7 @@ from .posets import Poset
 __all__ = [
     "BarredInt",
     "MODES",
+    "Mode",
     "PPartition",
     "ShuffleOutcome",
     "WeakComposition",
@@ -33,10 +34,11 @@ __all__ = [
     "alphabet_size",
     "bar",
     "bottom_deal_permutation",
+    "cut_piles",
     "enumerate_bounded",
     "format_two_line",
     "is_p_partition",
-    "parse_two_line",
+    "lookup_mode",
     "pile_poset",
     "ppartition_from_shelf_outcome",
     "rel_len",
@@ -46,8 +48,6 @@ __all__ = [
     "sorting_permutation",
     "variant_mode",
 ]
-
-MODES = ("all", "nonzero", "positive")
 
 # refuse exhaustive enumeration beyond this many candidate functions
 ENUMERATION_CAP = 10**7
@@ -113,23 +113,75 @@ def rel_len(a: BarredInt, b: BarredInt) -> bool:
     return a.rank < b.rank or (a.rank == b.rank and a.barred)
 
 
-@lru_cache(maxsize=None)
-def alphabet(m: int, mode: str) -> tuple[BarredInt, ...]:
-    """The allowed values with magnitude at most m, in increasing order.
+@dataclass(frozen=True)
+class Mode:
+    """One value alphabet: the ranks low, low + step, ... up to 2m, the
+    statistic that indexes its chain counts, and the riffle variant that
+    cuts the deck into one pile per value.
 
-    mode "all" permits every value, "nonzero" drops 0, "positive" keeps
-    only the plain values 1..m (a barred value can never satisfy the
+    "all" keeps every value, "nonzero" drops 0, and "positive" keeps only
+    the plain values 1..m (a barred value can never satisfy the
     nonzero-image conditions alone, so positive mode forbids bars).
     """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if mode == "all":
-        return tuple(BarredInt.from_rank(r) for r in range(2 * m + 1))
-    if mode == "nonzero":
-        return tuple(BarredInt.from_rank(r) for r in range(1, 2 * m + 1))
-    if mode == "positive":
-        return tuple(BarredInt(k) for k in range(1, m + 1))
-    raise ValueError(f"unknown mode: {mode!r}")
+
+    name: str
+    statistic: str
+    low: int  # lowest rank
+    step: int  # 2 keeps only the plain values
+    variant: str
+
+    def ranks(self, m: int) -> range:
+        if m < 0:
+            raise ValueError("m must be nonnegative")
+        return range(self.low, 2 * m + 1, self.step)
+
+    def size(self, m: int) -> int:
+        """Values per card at bound m.
+
+        >>> [MODES[name].size(3) for name in MODES]
+        [7, 6, 3]
+        """
+        return len(self.ranks(m))
+
+    def allows(self, rank: int) -> bool:
+        return rank >= self.low and (rank - self.low) % self.step == 0
+
+    def bound(self, size: int) -> int:
+        """The m whose alphabet has ``size`` values; ValueError if none.
+
+        Two passes with bounds k and l act as one pass over pairs of
+        values, so their combined bound is bound(size(k) * size(l)).
+
+        >>> [MODES[name].bound(MODES[name].size(10) ** 2) for name in MODES]
+        [220, 200, 100]
+        """
+        m = (self.low + (size - 1) * self.step) // 2  # the top rank is 2m
+        if m < 0 or self.size(m) != size:
+            raise ValueError(f"no {self.name!r} alphabet has {size} values")
+        return m
+
+
+MODES = {
+    mode.name: mode
+    for mode in (
+        Mode("all", "lpk", 0, 1, "up-down"),
+        Mode("nonzero", "pk", 1, 1, "down-up"),
+        Mode("positive", "des", 2, 2, "classic"),
+    )
+}
+
+
+def lookup_mode(name: str) -> Mode:
+    try:
+        return MODES[name]
+    except KeyError:
+        raise ValueError(f"unknown mode: {name!r}") from None
+
+
+@lru_cache(maxsize=None)
+def alphabet(m: int, mode: str) -> tuple[BarredInt, ...]:
+    """The allowed values with magnitude at most m, in increasing order."""
+    return tuple(BarredInt.from_rank(r) for r in lookup_mode(mode).ranks(m))
 
 
 def alphabet_size(m: int, mode: str) -> int:
@@ -138,25 +190,7 @@ def alphabet_size(m: int, mode: str) -> int:
     >>> alphabet_size(3, "all"), alphabet_size(3, "nonzero"), alphabet_size(3, "positive")
     (7, 6, 3)
     """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if mode == "all":
-        return 2 * m + 1
-    if mode == "nonzero":
-        return 2 * m
-    if mode == "positive":
-        return m
-    raise ValueError(f"unknown mode: {mode!r}")
-
-
-def _image_allowed(v: BarredInt, mode: str) -> bool:
-    if mode == "all":
-        return True
-    if mode == "nonzero":
-        return v.magnitude >= 1
-    if mode == "positive":
-        return v.magnitude >= 1 and not v.barred
-    raise ValueError(f"unknown mode: {mode!r}")
+    return lookup_mode(mode).size(m)
 
 
 def _pair_ok(i: int, j: int, fi: BarredInt, fj: BarredInt) -> bool:
@@ -169,7 +203,8 @@ def is_p_partition(f: PPartition, poset: Poset, mode: str = "all") -> bool:
     the mode restriction.  Covering pairs suffice by transitivity."""
     if len(f) != poset.n:
         raise ValueError(f"size mismatch: {len(f)} vs {poset.n}")
-    if not all(_image_allowed(v, mode) for v in f):
+    allows = lookup_mode(mode).allows
+    if not all(allows(v.rank) for v in f):
         return False
     return all(_pair_ok(i, j, f[i - 1], f[j - 1]) for i, j in poset.covers())
 
@@ -282,15 +317,10 @@ class ShuffleOutcome:
     permutation: Perm
 
 
-def _mode_for_length(length: int) -> dict[str, int]:
-    """Possible (mode -> m) readings of a composition length."""
-    readings = {}
-    if length % 2 == 1:
-        readings["all"] = (length - 1) // 2
-    else:
-        readings["nonzero"] = length // 2
-    readings["positive"] = length
-    return readings
+def _composition_alphabet(A: WeakComposition, mode: str) -> tuple[BarredInt, ...]:
+    """The alphabet a composition counts cards over: one part per value,
+    so its length fixes the bound (ValueError when no bound fits)."""
+    return alphabet(lookup_mode(mode).bound(len(A)), mode)
 
 
 def shelf_outcome_from_ppartition(
@@ -323,23 +353,12 @@ def ppartition_from_shelf_outcome(
     must be tie-consistent with the composition (exactly the arrangements
     the machine can produce), otherwise ValueError.
     """
-    readings = _mode_for_length(len(outcome.composition))
-    if mode not in readings:
-        raise ValueError(
-            f"composition of length {len(outcome.composition)} has no mode={mode!r} reading"
-        )
-    m = readings[mode]
-    values = alphabet(m, mode)
+    values = _composition_alphabet(outcome.composition, mode)
     p = check_permutation(outcome.permutation)
     if sum(outcome.composition) != len(p):
         raise ValueError("composition does not sum to deck size")
-    word: list[BarredInt] = []
-    for v, a in zip(values, outcome.composition):
-        word.extend([v] * a)
-    f = [values[0]] * len(p)
-    for slot, card in enumerate(p):
-        f[card - 1] = word[slot]
-    f = tuple(f)
+    word = [v for v, a in zip(values, outcome.composition) for _ in range(a)]
+    f = tuple(word[slot - 1] for slot in inverse(p))  # card i lies in slot inverse(p)[i]
     if sorting_permutation(f) != p:
         raise ValueError("permutation is not consistent with the composition")
     return f
@@ -347,35 +366,29 @@ def ppartition_from_shelf_outcome(
 
 def variant_mode(variant: str) -> str:
     """Mode of the value alphabet used by each riffle variant."""
-    table = {"up-down": "all", "down-up": "nonzero", "classic": "positive"}
-    if variant not in table:
-        raise ValueError(f"unknown riffle variant: {variant!r}")
-    return table[variant]
+    for mode in MODES.values():
+        if mode.variant == variant:
+            return mode.name
+    raise ValueError(f"unknown riffle variant: {variant!r}")
+
+
+def cut_piles(values: tuple[BarredInt, ...], A: WeakComposition) -> list[list[int]]:
+    """The piles of a riffle cut, in value order, each listed top to
+    bottom: pile j holds the next A[j] cards of the deck, flipped when its
+    value is barred."""
+    piles, start = [], 1
+    for v, a in zip(values, A):
+        block = list(range(start, start + a))
+        piles.append(block[::-1] if v.barred else block)
+        start += a
+    return piles
 
 
 def pile_poset(A: WeakComposition, variant: str) -> Poset:
-    """Chains forcing each pile's internal order after the cut.
-
-    Pile j holds a consecutive block of cards; a pile carrying a barred
-    value is flipped, so its chain runs downward through the labels.
-    """
-    mode = variant_mode(variant)
-    n = sum(A)
-    readings = _mode_for_length(len(A))
-    if mode not in readings:
-        raise ValueError(f"composition length {len(A)} invalid for variant {variant!r}")
-    values = alphabet(readings[mode], mode)
-    relations: list[tuple[int, int]] = []
-    start = 1
-    for v, a in zip(values, A):
-        block = range(start, start + a)
-        pairs = zip(block, list(block)[1:])
-        if v.barred:
-            relations.extend((j, i) for i, j in pairs)
-        else:
-            relations.extend(pairs)
-        start += a
-    return Poset(n, relations)
+    """Chains forcing each pile's internal order after the cut; a flipped
+    pile's chain runs downward through the labels."""
+    piles = cut_piles(_composition_alphabet(A, variant_mode(variant)), A)
+    return Poset(sum(A), [pair for pile in piles for pair in zip(pile, pile[1:])])
 
 
 def riffle_outcome_to_ppartition(
@@ -393,14 +406,8 @@ def riffle_outcome_to_ppartition(
     s = check_permutation(s)
     if sum(A) != len(s) or any(a < 0 for a in A):
         raise ValueError("composition does not sum to deck size")
-    readings = _mode_for_length(len(A))
-    if mode not in readings:
-        raise ValueError(f"composition length {len(A)} invalid for variant {variant!r}")
-    values = alphabet(readings[mode], mode)
-    word: list[BarredInt] = []
-    for v, a in zip(values, A):
-        word.extend([v] * a)
-    f = tuple(word[s[i] - 1] for i in range(len(s)))
+    word = [v for v, a in zip(_composition_alphabet(A, mode), A) for _ in range(a)]
+    f = tuple(word[slot - 1] for slot in s)
     if sorting_permutation(f) != inverse(s):
         raise ValueError("arrangement is not a linear extension of the pile poset")
     return f
@@ -423,15 +430,3 @@ def format_two_line(f: PPartition) -> str:
     top = " ".join(c.ljust(w) for c, w in zip(cards, widths))
     bottom = " ".join(v.ljust(w) for v, w in zip(vals, widths))
     return f"{top.rstrip()}\n{bottom.rstrip()}"
-
-
-def parse_two_line(text: str) -> PPartition:
-    """Inverse of format_two_line."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    if len(lines) != 2:
-        raise ValueError("expected two nonempty lines")
-    cards = lines[0].split()
-    vals = lines[1].split()
-    if cards != [str(i) for i in range(1, len(cards) + 1)] or len(vals) != len(cards):
-        raise ValueError("malformed two-line array")
-    return tuple(BarredInt.parse(v) for v in vals)

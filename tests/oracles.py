@@ -1,10 +1,11 @@
-"""Brute-force oracles and scripted randomness for the test suite.
+"""Brute-force oracles, test-only helpers and scripted randomness for the
+test suite.
 
-Everything here recomputes quantities from raw definitions, independently
-of the library's formulas: order preservation is checked over the full
+The oracles recompute quantities from raw definitions or by the slow
+routes the library replaced: order preservation is checked over the full
 relation (not just covering pairs), statistics are counted by scanning
-windows, and bounded-partition sets come from filtering the complete
-value-tuple product.
+windows, bounded-partition sets come from filtering the complete
+value-tuple product, and products in S_n are taken one pair at a time.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+from shuffle_lab import models
 from shuffle_lab.analysis import CycleSeries, count_table, f_im
-from shuffle_lab.models import ShuffleSpec
+from shuffle_lab.models import ConvolutionReport, ExactDist, ShuffleSpec, convolve
 from shuffle_lab.orderpoly import (
     DecompositionReport,
     convolved_bound,
@@ -23,9 +25,16 @@ from shuffle_lab.orderpoly import (
     op_chain,
     statistic_range,
 )
-from shuffle_lab.permutations import Perm, all_permutations, compose, statistic
+from shuffle_lab.permutations import Perm, all_permutations, compose, inverse, statistic
 from shuffle_lab.posets import Poset
-from shuffle_lab.ppartitions import BarredInt, PPartition, alphabet
+from shuffle_lab.ppartitions import (
+    ENUMERATION_CAP,
+    BarredInt,
+    PPartition,
+    ShuffleOutcome,
+    alphabet,
+    cut_piles,
+)
 
 
 def _rank(v: BarredInt) -> int:
@@ -124,6 +133,38 @@ def product_loop_decomposition(
     return DecompositionReport(n, k, l, mode, True, checked)
 
 
+def compose_loop_convolution(n: int, k: int, l: int, family: str) -> ConvolutionReport:
+    """models.group_algebra_product_check by the full n!^2 product loop:
+    accumulate the two passes' integer weights onto compose(s, t) for
+    every pair, then compare each pi, in lexicographic order, with
+    models.exact_prob of the single convolved pass."""
+    if n > 6:
+        raise ValueError("exhaustive convolution check capped at n <= 6")
+    model = family if family in models.MODELS else f"shelf-{family}"
+    a, b = ShuffleSpec(n, k, model), ShuffleSpec(n, l, model)
+    c = convolve(a, b)
+    assert a.total_outcomes * b.total_outcomes == c.total_outcomes
+    kind = a.statistic_kind
+    read = inverse if a.riffle else (lambda p: p)
+    num_a = {
+        p: op_chain(n, statistic(read(p), kind), k, a.mode)
+        for p in all_permutations(n)
+    }
+    num_b = {p: op_chain(n, statistic(read(p), kind), l, a.mode) for p in num_a}
+    acc = {p: 0 for p in num_a}
+    for s, ns in num_a.items():
+        if ns == 0:
+            continue
+        for t, nt in num_b.items():
+            acc[compose(s, t)] += ns * nt
+    for p in sorted(acc):
+        lhs = Fraction(acc[p], c.total_outcomes)
+        rhs = models.exact_prob(p, c)
+        if lhs != rhs:
+            return ConvolutionReport(n, k, l, model, False, (p, lhs, rhs))
+    return ConvolutionReport(n, k, l, model, True)
+
+
 def pow_product_cycle_series(n: int, m: int) -> CycleSeries:
     """The lazy pass's cycle series as the literal truncated product
     1/(1 - z_1 u) * prod_i two_sided_factor(i)^f(i, m), each power taken
@@ -157,6 +198,72 @@ def by_label_enumerate(poset: Poset, m: int, mode: str) -> list[PPartition]:
 
     assign(1)
     return out
+
+
+def simulate_riffle_uniform(spec: ShuffleSpec, rng) -> tuple[ShuffleOutcome, Perm]:
+    """Cross-check riffle sampler: the same cut as models.simulate_riffle,
+    then a uniformly random interleaving by Fisher-Yates instead of
+    proportional drops (the two induce the same law)."""
+    if not spec.riffle:
+        raise ValueError(f"model {spec.model!r} is not a riffle")
+    sizes = models._riffle_cut(spec, rng)
+    piles = cut_piles(alphabet(spec.m, spec.mode), sizes)
+    word = [idx for idx, a in enumerate(sizes) for _ in range(a)]
+    for i in range(len(word) - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        word[i], word[j] = word[j], word[i]
+    deck = tuple(piles[idx].pop(0) for idx in word)
+    return ShuffleOutcome(tuple(sizes), deck), deck
+
+
+def iter_shelf_placements(spec: ShuffleSpec):
+    """All choices^n placement maps of a shelf machine (small n only)."""
+    if spec.riffle:
+        raise ValueError(f"model {spec.model!r} is not a shelf machine")
+    values = alphabet(spec.m, spec.mode)
+    if len(values) ** spec.n > ENUMERATION_CAP:
+        raise ValueError("placement space exceeds enumeration cap")
+    return itertools.product(values, repeat=spec.n)
+
+
+def class_size(dist: ExactDist, k: int) -> int:
+    """Number of permutations in statistic class k of an exact law."""
+    for kk, _, count in dist.classes:
+        if kk == k:
+            return count
+    raise KeyError(k)
+
+
+def exact_dist_to_json_dict(dist: ExactDist) -> dict:
+    """JSON form of an exact law, with decimal strings for the big
+    integers."""
+    return {
+        "model": dist.spec.model,
+        "n": dist.spec.n,
+        "m": dist.spec.m,
+        "statistic": dist.statistic,
+        "classes": [
+            {
+                "k": k,
+                "count": str(count),
+                "prob_num": str(prob.numerator),
+                "prob_den": str(prob.denominator),
+            }
+            for k, prob, count in dist.classes
+        ],
+    }
+
+
+def parse_two_line(text: str) -> PPartition:
+    """Inverse of ppartitions.format_two_line."""
+    lines = [line for line in text.splitlines() if line.strip()]
+    if len(lines) != 2:
+        raise ValueError("expected two nonempty lines")
+    cards = lines[0].split()
+    vals = lines[1].split()
+    if cards != [str(i) for i in range(1, len(cards) + 1)] or len(vals) != len(cards):
+        raise ValueError("malformed two-line array")
+    return tuple(BarredInt.parse(v) for v in vals)
 
 
 class ScriptedRNG:

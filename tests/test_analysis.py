@@ -229,6 +229,17 @@ def test_cycle_distribution_examples():
         cycle_distribution(ShuffleSpec(2, 1, "shelf-strict"))
 
 
+def test_cycle_distribution_rejects_a_corrupted_series(monkeypatch):
+    def bumped(n, m):
+        series = cycle_count_series(n, m)
+        series.coeffs[(n,)] += 1
+        return series
+
+    monkeypatch.setattr(analysis, "cycle_count_series", bumped)
+    with pytest.raises(AssertionError, match="do not sum to 1"):
+        cycle_distribution(ShuffleSpec(4, 1, "shelf-lazy"))
+
+
 def test_cycle_distribution_matches_exhaustive_totals():
     for n, m in itertools.product(range(1, 6), (1, 2)):
         spec = ShuffleSpec(n, m, "shelf-lazy")

@@ -11,9 +11,11 @@ from pathlib import Path
 import pytest
 
 import shuffle_lab
+from shuffle_lab import models
 from shuffle_lab.analysis import tv_distance
 from shuffle_lab.cli import format_fixed, main
 from shuffle_lab.models import ShuffleSpec
+from shuffle_lab.permutations import inverse
 
 
 def run(capsys, *argv):
@@ -117,6 +119,18 @@ def test_tv_table_exact_and_default_rows(capsys):
     assert out.splitlines()[1].endswith(format_fixed(sep_distance(ShuffleSpec(6, 2, "shelf-strict"))))
 
 
+def test_tv_table_riffle_labels(capsys):
+    for model, label in (("riffle-updown", "Riffle-updown"),
+                         ("riffle-downup", "Riffle-downup"),
+                         ("riffle-classic", "Riffle-classic")):
+        code, out, _ = run(capsys, "tv-table", "--n", "5", "--m", "2", "--model", model)
+        assert code == 0
+        assert out.splitlines()[1].split()[0] == label
+        code, out, _ = run(capsys, "tv-table", "--n", "5", "--m", "2", "--model", model,
+                           "--format", "json")
+        assert list(json.loads(out)["rows"]) == [label]
+
+
 def test_tv_table_rejects_empty_m(capsys):
     code, _, err = run(capsys, "tv-table", "--n", "4", "--m", " ")
     assert code == 2 and "error" in err
@@ -132,6 +146,28 @@ def test_verify_single_checks(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload[0]["check"] == "oracle" and payload[0]["ok"] is True
+
+
+def test_verify_runs_the_nine_checks_in_order(capsys):
+    code, out, _ = run(capsys, "verify")
+    assert code == 0
+    names = [line.split(":", 1)[0] for line in out.splitlines()]
+    assert names == [
+        "PASS " + name
+        for name in ("convention", "decomposition", "monotonicity", "group-algebra",
+                     "fundamental", "oracle", "cycles", "fixed-points", "joint")
+    ]
+
+
+def test_verify_group_algebra_covers_the_riffles(capsys, monkeypatch):
+    # a riffle law that forgets the inverse must fail the convolution check
+    original = models.exact_prob
+    monkeypatch.setattr(
+        models, "exact_prob", lambda p, spec: original(inverse(p) if spec.riffle else p, spec)
+    )
+    code, out, _ = run(capsys, "verify", "--only", "group-algebra")
+    assert code == 1
+    assert out.startswith("FAIL group-algebra") and "riffle-updown" in out
 
 
 def test_verify_rejects_large_n(capsys):

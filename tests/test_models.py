@@ -9,6 +9,7 @@ from math import comb
 import pytest
 from scipy import stats
 
+from shuffle_lab import models
 from shuffle_lab import ppartitions as pp
 from shuffle_lab.models import (
     MODELS,
@@ -16,13 +17,10 @@ from shuffle_lab.models import (
     SHELF_MODELS,
     ShuffleSpec,
     convolve,
-    exact_dist_to_json_dict,
     exact_distribution,
     exact_prob,
     group_algebra_product_check,
-    iter_shelf_placements,
     simulate_riffle,
-    simulate_riffle_uniform,
     simulate_shelf,
 )
 from shuffle_lab.permutations import (
@@ -33,9 +31,25 @@ from shuffle_lab.permutations import (
     inverse,
 )
 
-from .oracles import ScriptedRNG
+from .oracles import (
+    ScriptedRNG,
+    class_size,
+    compose_loop_convolution,
+    exact_dist_to_json_dict,
+    iter_shelf_placements,
+    simulate_riffle_uniform,
+)
 
 SHELF_OF_RIFFLE = dict(zip(RIFFLE_MODELS, SHELF_MODELS))
+
+
+def test_model_table():
+    assert SHELF_MODELS == ("shelf-lazy", "shelf-standard", "shelf-strict")
+    assert RIFFLE_MODELS == ("riffle-updown", "riffle-downup", "riffle-classic")
+    # each riffle is the inverse-law twin of the shelf machine on its alphabet
+    for riffle, shelf in SHELF_OF_RIFFLE.items():
+        assert MODELS[riffle].mode == MODELS[shelf].mode
+        assert MODELS[riffle].riffle and not MODELS[shelf].riffle
 
 
 def test_spec_validation():
@@ -252,7 +266,7 @@ def test_exact_distribution_examples():
     assert dist.statistic == "lpk"
     assert dist.classes == ((0, Fraction(5, 9), 1), (1, Fraction(4, 9), 1))
     assert dist.prob(1) == Fraction(4, 9)
-    assert dist.class_size(0) == 1
+    assert class_size(dist, 0) == 1
     with pytest.raises(KeyError):
         dist.prob(2)
     # normalization holds for a larger strict table too
@@ -312,3 +326,39 @@ def test_group_algebra_product_check():
     assert report.ok and report.to_dict()["ok"] is True
     with pytest.raises(ValueError):
         group_algebra_product_check(7, 1, 1, "lazy")
+
+
+def _report_or_error(check, *args):
+    try:
+        return check(*args)
+    except ValueError:
+        return ValueError
+
+
+def test_group_algebra_check_equals_compose_loop():
+    # the class-product table against the full n!^2 compose loop: the same
+    # report, and a ValueError wherever the loop raises one (k or l = 0
+    # leaves a nonzero- or positive-alphabet machine without outcomes)
+    raised = 0
+    for n, model in itertools.product(range(1, 6), MODELS):
+        for k, l in itertools.product(range(4), repeat=2):
+            want = _report_or_error(compose_loop_convolution, n, k, l, model)
+            assert _report_or_error(group_algebra_product_check, n, k, l, model) == want
+            raised += want is ValueError
+    assert raised == 5 * 4 * 7
+
+
+def test_group_algebra_check_catches_a_riffle_law_without_inverse(monkeypatch):
+    # a riffle exact_prob that reads the deck order instead of its inverse
+    # (at n <= 3 every permutation shares its statistics with its inverse):
+    # the check reports the same first mismatch as the compose loop
+    original = models.exact_prob
+    monkeypatch.setattr(
+        models, "exact_prob", lambda p, spec: original(inverse(p) if spec.riffle else p, spec)
+    )
+    for model in RIFFLE_MODELS:
+        report = group_algebra_product_check(4, 1, 2, model)
+        assert not report.ok and report.first_mismatch is not None
+        assert report == compose_loop_convolution(4, 1, 2, model)
+    for model in SHELF_MODELS:
+        assert group_algebra_product_check(4, 1, 2, model).ok

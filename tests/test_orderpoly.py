@@ -130,7 +130,8 @@ def test_op_poset_antichain_and_chains():
 
 
 def test_op_poset_equals_enumeration_count():
-    for poset in all_posets(3):
+    # the empty poset has one map, the empty one, in every mode
+    for poset in [Poset(0), *all_posets(3)]:
         for mode in MODES:
             for m in range(3):
                 assert op_poset(poset, m, mode) == len(
@@ -166,10 +167,11 @@ def test_convolved_bound():
     assert convolved_bound(10, 10, "all") == 220
     assert convolved_bound(2, 3, "nonzero") == 12
     assert convolved_bound(4, 5, "positive") == 20
-    for k, l in itertools.product(range(6), repeat=2):
+    for k, l in itertools.product(range(30), repeat=2):
         # choices-per-card counts multiply across the two passes
         assert (2 * k + 1) * (2 * l + 1) == 2 * convolved_bound(k, l, "all") + 1
         assert (2 * k) * (2 * l) == 2 * convolved_bound(k, l, "nonzero")
+        assert k * l == convolved_bound(k, l, "positive")
     with pytest.raises(ValueError):
         convolved_bound(1, 1, "plain")
 

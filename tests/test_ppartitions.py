@@ -23,7 +23,6 @@ from shuffle_lab.ppartitions import (
     enumerate_bounded,
     format_two_line,
     is_p_partition,
-    parse_two_line,
     pile_poset,
     ppartition_from_shelf_outcome,
     rel_len,
@@ -34,7 +33,12 @@ from shuffle_lab.ppartitions import (
     variant_mode,
 )
 
-from .oracles import brute_enumerate, brute_is_p_partition, by_label_enumerate
+from .oracles import (
+    brute_enumerate,
+    brute_is_p_partition,
+    by_label_enumerate,
+    parse_two_line,
+)
 
 ZERO = BarredInt(0)
 
@@ -97,6 +101,19 @@ def test_alphabet_size_counts_the_alphabet():
             alphabet_size(m, mode)
 
 
+def test_mode_bound_inverts_size():
+    for mode, m in itertools.product(MODES.values(), range(51)):
+        assert mode.bound(mode.size(m)) == m, (mode.name, m)
+
+
+def test_mode_bound_rejects_sizes_with_no_reading():
+    # an "all" alphabet has an odd size, a "nonzero" one an even size
+    for name, size in [("all", 0), ("all", 4), ("all", -1), ("nonzero", 3),
+                       ("nonzero", -2), ("positive", -1)]:
+        with pytest.raises(ValueError, match="alphabet has"):
+            MODES[name].bound(size)
+
+
 def test_sorting_permutation_examples():
     assert format_permutation(sorting_permutation(F_EX)) == "237516489"
     assert sorting_permutation((ZERO,) * 4) == identity(4)
@@ -130,7 +147,7 @@ def test_is_p_partition_membership_example():
 
 
 def test_is_p_partition_matches_full_relation_oracle():
-    values = [BarredInt.from_rank(r) for r in range(3)]
+    values = [BarredInt.from_rank(r) for r in range(4)]
     for poset in all_posets(3):
         for f in itertools.product(values, repeat=3):
             for mode in MODES:
