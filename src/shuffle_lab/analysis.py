@@ -36,12 +36,9 @@ __all__ = [
     "count_table",
     "cycle_count_series",
     "cycle_distribution",
-    "des_counts",
     "expected_fixed_points",
     "f_im",
     "linf_distance",
-    "lpk_counts",
-    "pk_counts",
     "sep_distance",
     "tv_distance",
     "verify_joint_lpk_cycle",
@@ -93,18 +90,6 @@ def count_table(n: int, kind: str) -> CountTable:
             here = prev[k] if k < len(prev) else 0
             row.append(stay * here + carry * below)
     return CountTable(n, kind, tuple(row))
-
-
-def lpk_counts(n: int) -> CountTable:
-    return count_table(n, "lpk")
-
-
-def pk_counts(n: int) -> CountTable:
-    return count_table(n, "pk")
-
-
-def des_counts(n: int) -> CountTable:
-    return count_table(n, "des")
 
 
 # ---------------------------------------------------------------------------
@@ -252,53 +237,6 @@ class CycleSeries:
         self.truncation = truncation
         self.coeffs = {k: v for k, v in coeffs.items() if v}
 
-    @classmethod
-    def one(cls, truncation: int) -> "CycleSeries":
-        return cls(truncation, {(): 1})
-
-    @classmethod
-    def geometric_z1(cls, truncation: int) -> "CycleSeries":
-        """1/(1 - z_1 u) = sum_j (z_1 u)^j."""
-        return cls(truncation, {(1,) * j: 1 for j in range(truncation + 1)})
-
-    @classmethod
-    def two_sided_factor(cls, i: int, truncation: int) -> "CycleSeries":
-        """(1 + z_i u^i)/(1 - z_i u^i) = 1 + 2 sum_{j>=1} z_i^j u^(ij)."""
-        coeffs = {(): 1}
-        for j in range(1, truncation // i + 1):
-            coeffs[(i,) * j] = 2
-        return cls(truncation, coeffs)
-
-    def __mul__(self, other: "CycleSeries") -> "CycleSeries":
-        if self.truncation != other.truncation:
-            raise ValueError("truncation mismatch")
-        out: dict[tuple[int, ...], int] = {}
-        cap = self.truncation
-        items = sorted(other.coeffs.items())
-        for part_a, ca in self.coeffs.items():
-            room = cap - sum(part_a)
-            for part_b, cb in items:
-                if sum(part_b) > room:
-                    continue
-                key = tuple(sorted(part_a + part_b, reverse=True))
-                out[key] = out.get(key, 0) + ca * cb
-        return CycleSeries(cap, out)
-
-    def pow(self, exponent: int) -> "CycleSeries":
-        """Repeated truncated multiplication (square and multiply)."""
-        if exponent < 0:
-            raise ValueError("exponent must be nonnegative")
-        result = CycleSeries.one(self.truncation)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
     def degree_slice(self, d: int) -> dict[tuple[int, ...], int]:
         return {k: v for k, v in self.coeffs.items() if sum(k) == d}
 
@@ -310,9 +248,6 @@ def _two_sided_power(f: int, terms: int) -> list[int]:
     (j + 1) a_(j+1) = 2 f a_j + (j - 1) a_(j-1), with a_0 = 1.
 
     >>> _two_sided_power(3, 4)
-    [1, 6, 18, 38]
-    >>> power = CycleSeries.two_sided_factor(2, 6).pow(3)
-    >>> [power.coeffs.get((2,) * j, 0) for j in range(4)]
     [1, 6, 18, 38]
     """
     coeffs = [1, 2 * f]

@@ -60,7 +60,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.count < 0:
         raise ValueError("--count must be nonnegative")
     spec = models.ShuffleSpec(args.n, args.m, args.model)
-    rng = random.Random(args.seed)
+    seed = args.seed
+    if seed is None:  # draw one and report it, so the run can be repeated
+        seed = random.randrange(2**32)
+        if args.format != "json":
+            print(f"seed: {seed}", file=sys.stderr)
+    rng = random.Random(seed)
     sampler = models.simulate_riffle if spec.riffle else models.simulate_shelf
     rows = []
     for index in range(args.count):
@@ -77,7 +82,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "model": spec.model,
             "n": spec.n,
             "m": spec.m,
-            "seed": args.seed,
+            "seed": seed,
             "samples": rows,
         }
         text = json.dumps(payload, indent=2) + "\n"

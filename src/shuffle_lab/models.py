@@ -159,18 +159,14 @@ def simulate_riffle(spec: ShuffleSpec, rng) -> tuple[pp.ShuffleOutcome, Perm]:
     _require(spec, riffle=True)
     sizes = _riffle_cut(spec, rng)
     piles = pp.cut_piles(pp.alphabet(spec.m, spec.mode), sizes)
-    remaining = list(sizes)
-    total = spec.n
     bottom_up: list[int] = []
-    while total:
+    for total in range(spec.n, 0, -1):  # cards left in the piles
         r = rng.randrange(total)
-        for idx, count in enumerate(remaining):
-            if r < count:
+        for pile in piles:
+            if r < len(pile):
                 break
-            r -= count
-        bottom_up.append(piles[idx].pop())
-        remaining[idx] -= 1
-        total -= 1
+            r -= len(pile)
+        bottom_up.append(pile.pop())
     deck = tuple(reversed(bottom_up))
     return pp.ShuffleOutcome(tuple(sizes), deck), deck
 

@@ -180,7 +180,11 @@ def gf_coefficients(n: int, k: int, mode: str, terms: int) -> list[int]:
         all:      (4t)^k (1+t)^(n-2k)   / (1-t)^(n+1)
         nonzero:  (4t)^(k+1) (1+t)^(n-1-2k) / (2 (1-t)^(n+1))
         positive: t^(k+1)               / (1-t)^(n+1)
+
+    These hold for n >= 1 only.
     """
+    if n < 1:
+        raise ValueError("n must be positive")
     if k not in statistic_range(mode_statistic(mode), n):
         return [0] * terms
     numer = [0] * terms

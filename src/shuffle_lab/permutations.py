@@ -30,7 +30,6 @@ __all__ = [
     "identity",
     "inverse",
     "left_peaks",
-    "parse_permutation",
     "peaks",
     "statistic",
 ]
@@ -164,12 +163,3 @@ def format_permutation(p: Perm) -> str:
         return "".join(str(v) for v in p)
     return ",".join(str(v) for v in p)
 
-
-def parse_permutation(text: str) -> Perm:
-    """Inverse of format_permutation (commas optional for n <= 9)."""
-    text = text.strip()
-    if "," in text:
-        values = [int(part) for part in text.split(",")]
-    else:
-        values = [int(ch) for ch in text]
-    return check_permutation(values)

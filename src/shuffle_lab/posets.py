@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator
 
-from .permutations import Perm, check_permutation, inverse
+from .permutations import Perm, check_permutation
 
 __all__ = ["Poset", "all_posets"]
 
@@ -55,10 +55,6 @@ class Poset:
         self._covers: tuple[tuple[int, int], ...] | None = None
 
     @classmethod
-    def antichain(cls, n: int) -> "Poset":
-        return cls(n)
-
-    @classmethod
     def chain(cls, p: Perm) -> "Poset":
         """The chain p(1) < p(2) < ... < p(n)."""
         p = check_permutation(p)
@@ -77,13 +73,6 @@ class Poset:
                 if not any((i, k) in rel and (k, j) in rel for k in range(1, self.n + 1))
             )
         return self._covers
-
-    def is_linear_extension(self, p: Perm) -> bool:
-        """True when i < j in the poset implies i precedes j in p."""
-        if len(p) != self.n:
-            raise ValueError(f"size mismatch: {len(p)} vs {self.n}")
-        position = inverse(p)
-        return all(position[i - 1] < position[j - 1] for i, j in self.relation)
 
     def linear_extensions(self) -> list[Perm]:
         """All linear extensions, as permutations read off top-to-bottom."""

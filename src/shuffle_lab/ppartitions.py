@@ -2,11 +2,13 @@
 the correspondences between shuffle outcomes and P-partitions.
 
 Barred integers are ordered 0 < 1- < 1 < 2- < 2 < ... (``k-`` renders the
-bar).  A P-partition is a map {1..n} -> barred integers, stored as a tuple
-``f`` with ``f[i-1]`` the value at ``i``.  Order preservation along the
-poset uses two relations: comparable pairs may share a value only when it
-is nonbarred (naturally labeled pair) or only when it is barred
-(unnaturally labeled pair).
+bar), and each is stored as its rank in that order: k has rank 2k and k-
+rank 2k - 1, so a value is barred exactly when its rank is odd.  A
+P-partition is a map {1..n} -> barred integers, stored as a tuple ``f`` of
+ranks with ``f[i-1]`` the value at ``i``.  Order preservation along the
+poset allows comparable pairs to share a value only when it is nonbarred
+(naturally labeled pair) or only when it is barred (unnaturally labeled
+pair).
 
 Shelf-shuffler outcomes encode as P-partitions: card i on shelf k goes on
 top of the pile when the value is k-barred, underneath when it is plain k,
@@ -17,14 +19,14 @@ encode through the pile poset of the cut.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, total_ordering
+from functools import lru_cache
 
 from .permutations import Perm, check_permutation, inverse
 from .posets import Poset
 
 __all__ = [
-    "BarredInt",
     "MODES",
     "Mode",
     "PPartition",
@@ -32,17 +34,15 @@ __all__ = [
     "WeakComposition",
     "alphabet",
     "alphabet_size",
-    "bar",
-    "bottom_deal_permutation",
     "cut_piles",
     "enumerate_bounded",
     "format_two_line",
+    "format_value",
     "is_p_partition",
     "lookup_mode",
+    "parse_value",
     "pile_poset",
     "ppartition_from_shelf_outcome",
-    "rel_len",
-    "rel_lp",
     "riffle_outcome_to_ppartition",
     "shelf_outcome_from_ppartition",
     "sorting_permutation",
@@ -52,65 +52,31 @@ __all__ = [
 # refuse exhaustive enumeration beyond this many candidate functions
 ENUMERATION_CAP = 10**7
 
-
-@total_ordering
-@dataclass(frozen=True)
-class BarredInt:
-    """An element of the alphabet 0 < 1- < 1 < 2- < 2 < ...
-
-    The total order is realized by rank(v) = 2|v| - (1 if barred).
-    """
-
-    magnitude: int
-    barred: bool = False
-
-    def __post_init__(self):
-        if self.magnitude < 0:
-            raise ValueError("magnitude must be nonnegative")
-        if self.barred and self.magnitude == 0:
-            raise ValueError("0 has no barred version")
-
-    @property
-    def rank(self) -> int:
-        return 2 * self.magnitude - (1 if self.barred else 0)
-
-    @classmethod
-    def from_rank(cls, rank: int) -> "BarredInt":
-        if rank < 0:
-            raise ValueError("rank must be nonnegative")
-        return cls((rank + 1) // 2, rank % 2 == 1)
-
-    def __lt__(self, other: "BarredInt") -> bool:
-        return self.rank < other.rank
-
-    def __str__(self) -> str:
-        return f"{self.magnitude}-" if self.barred else str(self.magnitude)
-
-    @classmethod
-    def parse(cls, text: str) -> "BarredInt":
-        text = text.strip()
-        if text.endswith("-"):
-            return cls(int(text[:-1]), True)
-        return cls(int(text))
-
-
-def bar(k: int) -> BarredInt:
-    """Shorthand for the barred value k-."""
-    return BarredInt(k, True)
-
-
-PPartition = tuple[BarredInt, ...]
+PPartition = tuple[int, ...]  # the rank of each card's value
 WeakComposition = tuple[int, ...]
 
 
-def rel_lp(a: BarredInt, b: BarredInt) -> bool:
-    """a < b, or a = b nonbarred (ties allowed on plain values)."""
-    return a.rank < b.rank or (a.rank == b.rank and not a.barred)
+def format_value(rank: int) -> str:
+    """The text of the value with this rank: ``k-`` when barred, ``k`` when
+    plain.
+
+    >>> [format_value(rank) for rank in range(6)]
+    ['0', '1-', '1', '2-', '2', '3-']
+    """
+    return f"{(rank + 1) // 2}-" if rank & 1 else str(rank // 2)
 
 
-def rel_len(a: BarredInt, b: BarredInt) -> bool:
-    """a < b, or a = b barred (ties allowed on barred values)."""
-    return a.rank < b.rank or (a.rank == b.rank and a.barred)
+def parse_value(text: str) -> int:
+    """The rank of a value written as ``k`` or ``k-``; ValueError for a
+    negative magnitude or ``0-``."""
+    text = text.strip()
+    barred = text.endswith("-")
+    magnitude = int(text[:-1] if barred else text)
+    if magnitude < 0:
+        raise ValueError("magnitude must be nonnegative")
+    if barred and magnitude == 0:
+        raise ValueError("0 has no barred version")
+    return 2 * magnitude - barred
 
 
 @dataclass(frozen=True)
@@ -179,9 +145,10 @@ def lookup_mode(name: str) -> Mode:
 
 
 @lru_cache(maxsize=None)
-def alphabet(m: int, mode: str) -> tuple[BarredInt, ...]:
-    """The allowed values with magnitude at most m, in increasing order."""
-    return tuple(BarredInt.from_rank(r) for r in lookup_mode(mode).ranks(m))
+def alphabet(m: int, mode: str) -> tuple[int, ...]:
+    """The ranks of the allowed values with magnitude at most m, in
+    increasing order."""
+    return tuple(lookup_mode(mode).ranks(m))
 
 
 def alphabet_size(m: int, mode: str) -> int:
@@ -193,20 +160,20 @@ def alphabet_size(m: int, mode: str) -> int:
     return lookup_mode(mode).size(m)
 
 
-def _pair_ok(i: int, j: int, fi: BarredInt, fj: BarredInt) -> bool:
-    # the condition for i < j in the poset, split on the natural order of i, j
-    return rel_lp(fi, fj) if i < j else rel_len(fi, fj)
-
-
 def is_p_partition(f: PPartition, poset: Poset, mode: str = "all") -> bool:
     """True when f is order preserving along the poset and its image obeys
-    the mode restriction.  Covering pairs suffice by transitivity."""
+    the mode restriction.  Covering pairs suffice by transitivity.
+
+    For i below j, f(i) <= f(j), and a tie is allowed on a plain value
+    (even rank) when i < j, on a barred value (odd rank) when i > j.
+    """
     if len(f) != poset.n:
         raise ValueError(f"size mismatch: {len(f)} vs {poset.n}")
-    allows = lookup_mode(mode).allows
-    if not all(allows(v.rank) for v in f):
+    if not all(map(lookup_mode(mode).allows, f)):
         return False
-    return all(_pair_ok(i, j, f[i - 1], f[j - 1]) for i, j in poset.covers())
+    return all(
+        f[i - 1] + ((f[i - 1] & 1) == (i < j)) <= f[j - 1] for i, j in poset.covers()
+    )
 
 
 def sorting_permutation(f: PPartition) -> Perm:
@@ -214,33 +181,14 @@ def sorting_permutation(f: PPartition) -> Perm:
     breaking ties upward on plain values and downward on barred ones.
 
     >>> from shuffle_lab.permutations import format_permutation
-    >>> f = (bar(1), BarredInt(0), BarredInt(0), bar(2), bar(1),
-    ...      BarredInt(1), BarredInt(0), BarredInt(2), BarredInt(2))
+    >>> f = (1, 0, 0, 3, 1, 2, 0, 4, 4)  # 1- 0 0 2- 1- 1 0 2 2
     >>> format_permutation(sorting_permutation(f))
     '237516489'
     """
     return tuple(
         sorted(
             range(1, len(f) + 1),
-            key=lambda i: (f[i - 1].rank, -i if f[i - 1].barred else i),
-        )
-    )
-
-
-def bottom_deal_permutation(f: PPartition) -> Perm:
-    """Sorting variant for a machine that deals cards to shelf bottoms:
-    tie-breaking is reversed on each value class.
-
-    >>> from shuffle_lab.permutations import format_permutation
-    >>> f = (bar(1), BarredInt(0), BarredInt(0), bar(2), bar(1),
-    ...      BarredInt(1), BarredInt(0), BarredInt(2), BarredInt(2))
-    >>> format_permutation(bottom_deal_permutation(f))
-    '732156498'
-    """
-    return tuple(
-        sorted(
-            range(1, len(f) + 1),
-            key=lambda i: (f[i - 1].rank, i if f[i - 1].barred else -i),
+            key=lambda i: (f[i - 1], -i if f[i - 1] & 1 else i),
         )
     )
 
@@ -259,8 +207,7 @@ def enumerate_bounded(poset: Poset, m: int, mode: str = "all") -> list[PPartitio
     n = poset.n
     if (2 * m + 1) ** n > ENUMERATION_CAP:
         raise ValueError(f"(2m+1)^n = {(2 * m + 1) ** n} exceeds enumeration cap")
-    values = alphabet(m, mode)
-    ranks = [v.rank for v in values]
+    ranks = alphabet(m, mode)
     if n == 0:
         return [()]
     # for each element, the earlier-labelled elements it covers / is covered by
@@ -272,28 +219,26 @@ def enumerate_bounded(poset: Poset, m: int, mode: str = "all") -> list[PPartitio
         else:
             above[i - 1].append(j - 1)
     out: list[PPartition] = []
-    f = [0] * n  # ranks of the assigned prefix
     top = 2 * m
 
     def assign(e: int, prefix: PPartition) -> None:
-        # f[e] >= f[i] with a tie on even ranks, f[e] <= f[j] with a tie on odd
+        # f(e) >= f(i) with a tie on even ranks, f(e) <= f(j) with a tie on odd
         lo = 0
         for i in below[e]:
-            r = f[i] + (f[i] & 1)
+            r = prefix[i] + (prefix[i] & 1)
             if r > lo:
                 lo = r
         hi = top
         for j in above[e]:
-            r = f[j] - 1 + (f[j] & 1)
+            r = prefix[j] - 1 + (prefix[j] & 1)
             if r < hi:
                 hi = r
-        first, last = bisect_left(ranks, lo), bisect_right(ranks, hi)
+        choices = ranks[bisect_left(ranks, lo) : bisect_right(ranks, hi)]
         if e + 1 == n:
-            out.extend([prefix + (v,) for v in values[first:last]])
+            out.extend([prefix + (r,) for r in choices])
             return
-        for x in range(first, last):
-            f[e] = ranks[x]
-            assign(e + 1, prefix + (values[x],))
+        for r in choices:
+            assign(e + 1, prefix + (r,))
 
     assign(0, ())
     return out
@@ -317,10 +262,26 @@ class ShuffleOutcome:
     permutation: Perm
 
 
-def _composition_alphabet(A: WeakComposition, mode: str) -> tuple[BarredInt, ...]:
+def _composition_alphabet(A: WeakComposition, mode: str) -> tuple[int, ...]:
     """The alphabet a composition counts cards over: one part per value,
     so its length fixes the bound (ValueError when no bound fits)."""
     return alphabet(lookup_mode(mode).bound(len(A)), mode)
+
+
+def _map_of_arrangement(A: WeakComposition, s: Perm, mode: str) -> PPartition:
+    """The map giving card i the value A counts at deck slot s(i);
+    ValueError unless its sorting permutation is inverse(s)."""
+    values = _composition_alphabet(A, mode)
+    s = check_permutation(s)
+    if any(a < 0 for a in A):
+        raise ValueError("composition has a negative part")
+    if sum(A) != len(s):
+        raise ValueError("composition does not sum to deck size")
+    word = [v for v, a in zip(values, A) for _ in range(a)]
+    f = tuple(word[slot - 1] for slot in s)
+    if sorting_permutation(f) != inverse(s):
+        raise ValueError("arrangement is not consistent with the composition")
+    return f
 
 
 def shelf_outcome_from_ppartition(
@@ -333,15 +294,11 @@ def shelf_outcome_from_ppartition(
     deck order is the sorting permutation of f.
     """
     values = alphabet(m, mode)
-    index = {v: idx for idx, v in enumerate(values)}
-    counts = [0] * len(values)
-    for v in f:
-        if v.magnitude > m:
-            raise ValueError(f"value {v} exceeds shelf count m={m}")
-        if v not in index:
-            raise ValueError(f"value {v} not allowed in mode {mode!r}")
-        counts[index[v]] += 1
-    return ShuffleOutcome(tuple(counts), sorting_permutation(f))
+    counts = Counter(f)
+    stray = counts.keys() - set(values)
+    if stray:
+        raise ValueError(f"ranks {sorted(stray)} not in the {mode!r} alphabet at m={m}")
+    return ShuffleOutcome(tuple(counts[v] for v in values), sorting_permutation(f))
 
 
 def ppartition_from_shelf_outcome(
@@ -353,15 +310,8 @@ def ppartition_from_shelf_outcome(
     must be tie-consistent with the composition (exactly the arrangements
     the machine can produce), otherwise ValueError.
     """
-    values = _composition_alphabet(outcome.composition, mode)
     p = check_permutation(outcome.permutation)
-    if sum(outcome.composition) != len(p):
-        raise ValueError("composition does not sum to deck size")
-    word = [v for v, a in zip(values, outcome.composition) for _ in range(a)]
-    f = tuple(word[slot - 1] for slot in inverse(p))  # card i lies in slot inverse(p)[i]
-    if sorting_permutation(f) != p:
-        raise ValueError("permutation is not consistent with the composition")
-    return f
+    return _map_of_arrangement(outcome.composition, inverse(p), mode)
 
 
 def variant_mode(variant: str) -> str:
@@ -372,14 +322,14 @@ def variant_mode(variant: str) -> str:
     raise ValueError(f"unknown riffle variant: {variant!r}")
 
 
-def cut_piles(values: tuple[BarredInt, ...], A: WeakComposition) -> list[list[int]]:
+def cut_piles(values: tuple[int, ...], A: WeakComposition) -> list[list[int]]:
     """The piles of a riffle cut, in value order, each listed top to
     bottom: pile j holds the next A[j] cards of the deck, flipped when its
-    value is barred."""
+    value is barred (odd rank)."""
     piles, start = [], 1
     for v, a in zip(values, A):
         block = list(range(start, start + a))
-        piles.append(block[::-1] if v.barred else block)
+        piles.append(block[::-1] if v & 1 else block)
         start += a
     return piles
 
@@ -402,15 +352,7 @@ def riffle_outcome_to_ppartition(
     ValueError when s does not respect the pile order, i.e. is not a
     linear extension of pile_poset(A, variant).
     """
-    mode = variant_mode(variant)
-    s = check_permutation(s)
-    if sum(A) != len(s) or any(a < 0 for a in A):
-        raise ValueError("composition does not sum to deck size")
-    word = [v for v, a in zip(_composition_alphabet(A, mode), A) for _ in range(a)]
-    f = tuple(word[slot - 1] for slot in s)
-    if sorting_permutation(f) != inverse(s):
-        raise ValueError("arrangement is not a linear extension of the pile poset")
-    return f
+    return _map_of_arrangement(A, s, variant_mode(variant))
 
 
 # ---------------------------------------------------------------------------
@@ -420,12 +362,12 @@ def riffle_outcome_to_ppartition(
 def format_two_line(f: PPartition) -> str:
     """Two-line array: card indices over values, column aligned.
 
-    >>> print(format_two_line((bar(1), BarredInt(0), BarredInt(2))))
+    >>> print(format_two_line((1, 0, 4)))
     1  2 3
     1- 0 2
     """
     cards = [str(i) for i in range(1, len(f) + 1)]
-    vals = [str(v) for v in f]
+    vals = [format_value(v) for v in f]
     widths = [max(len(c), len(v)) for c, v in zip(cards, vals)]
     top = " ".join(c.ljust(w) for c, w in zip(cards, widths))
     bottom = " ".join(v.ljust(w) for v, w in zip(vals, widths))

@@ -6,6 +6,11 @@ routes the library replaced: order preservation is checked over the full
 relation (not just covering pairs), statistics are counted by scanning
 windows, bounded-partition sets come from filtering the complete
 value-tuple product, and products in S_n are taken one pair at a time.
+
+The library stores a barred value as its integer rank.  The P-partition
+oracles work on BarredInt values instead (magnitude and bar), so they do
+not share that encoding with the code they check; ``ranks`` turns their
+maps into the library's rank tuples for comparison.
 """
 
 from __future__ import annotations
@@ -13,7 +18,9 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 
 from shuffle_lab import models
 from shuffle_lab.analysis import CycleSeries, count_table, f_im
@@ -25,32 +32,79 @@ from shuffle_lab.orderpoly import (
     op_chain,
     statistic_range,
 )
-from shuffle_lab.permutations import Perm, all_permutations, compose, inverse, statistic
+from shuffle_lab.permutations import (
+    Perm,
+    all_permutations,
+    check_permutation,
+    compose,
+    inverse,
+    statistic,
+)
 from shuffle_lab.posets import Poset
 from shuffle_lab.ppartitions import (
     ENUMERATION_CAP,
-    BarredInt,
     PPartition,
     ShuffleOutcome,
     alphabet,
     cut_piles,
+    parse_value,
 )
 
 
-def _rank(v: BarredInt) -> int:
-    return 2 * v.magnitude - (1 if v.barred else 0)
+@total_ordering
+@dataclass(frozen=True)
+class BarredInt:
+    """An element of the alphabet 0 < 1- < 1 < 2- < 2 < ...
+
+    The total order is realized by rank(v) = 2|v| - (1 if barred).
+    """
+
+    magnitude: int
+    barred: bool = False
+
+    def __post_init__(self):
+        if self.magnitude < 0:
+            raise ValueError("magnitude must be nonnegative")
+        if self.barred and self.magnitude == 0:
+            raise ValueError("0 has no barred version")
+
+    @property
+    def rank(self) -> int:
+        return 2 * self.magnitude - (1 if self.barred else 0)
+
+    @classmethod
+    def from_rank(cls, rank: int) -> "BarredInt":
+        if rank < 0:
+            raise ValueError("rank must be nonnegative")
+        return cls((rank + 1) // 2, rank % 2 == 1)
+
+    def __lt__(self, other: "BarredInt") -> bool:
+        return self.rank < other.rank
+
+    def __str__(self) -> str:
+        return f"{self.magnitude}-" if self.barred else str(self.magnitude)
+
+
+def bar(k: int) -> BarredInt:
+    """Shorthand for the barred value k-."""
+    return BarredInt(k, True)
+
+
+def ranks(f: tuple[BarredInt, ...]) -> PPartition:
+    """An oracle's map as the library stores it: one rank per card."""
+    return tuple(v.rank for v in f)
 
 
 def brute_pair_ok(i: int, j: int, fi: BarredInt, fj: BarredInt) -> bool:
     """The raw order-preservation condition for i below j in the poset:
     strictly smaller values always pass; equal values pass when nonbarred
     for naturally ordered pairs (i < j) and when barred otherwise."""
-    if _rank(fi) != _rank(fj):
-        return _rank(fi) < _rank(fj)
+    if fi.rank != fj.rank:
+        return fi.rank < fj.rank
     return (not fi.barred) if i < j else fi.barred
 
 
-def brute_is_p_partition(f: PPartition, poset: Poset, mode: str) -> bool:
+def brute_is_p_partition(f: tuple[BarredInt, ...], poset: Poset, mode: str) -> bool:
     for v in f:
         if mode == "nonzero" and v.magnitude == 0:
             return False
@@ -61,7 +115,7 @@ def brute_is_p_partition(f: PPartition, poset: Poset, mode: str) -> bool:
     )
 
 
-def brute_enumerate(poset: Poset, m: int, mode: str) -> list[PPartition]:
+def brute_enumerate(poset: Poset, m: int, mode: str) -> list[tuple[BarredInt, ...]]:
     """Filter every tuple over the full magnitude-<=-m alphabet by the
     full-relation membership check.  Exponential; tiny posets only."""
     values = [BarredInt.from_rank(r) for r in range(2 * m + 1)]
@@ -165,26 +219,80 @@ def compose_loop_convolution(n: int, k: int, l: int, family: str) -> Convolution
     return ConvolutionReport(n, k, l, model, True)
 
 
-def pow_product_cycle_series(n: int, m: int) -> CycleSeries:
+class ProductSeries(CycleSeries):
+    """A cycle series with truncated multiplication, for building the
+    product form factor by factor."""
+
+    __slots__ = ()
+
+    @classmethod
+    def one(cls, truncation: int) -> "ProductSeries":
+        return cls(truncation, {(): 1})
+
+    @classmethod
+    def geometric_z1(cls, truncation: int) -> "ProductSeries":
+        """1/(1 - z_1 u) = sum_j (z_1 u)^j."""
+        return cls(truncation, {(1,) * j: 1 for j in range(truncation + 1)})
+
+    @classmethod
+    def two_sided_factor(cls, i: int, truncation: int) -> "ProductSeries":
+        """(1 + z_i u^i)/(1 - z_i u^i) = 1 + 2 sum_{j>=1} z_i^j u^(ij)."""
+        coeffs = {(): 1}
+        for j in range(1, truncation // i + 1):
+            coeffs[(i,) * j] = 2
+        return cls(truncation, coeffs)
+
+    def __mul__(self, other: "ProductSeries") -> "ProductSeries":
+        if self.truncation != other.truncation:
+            raise ValueError("truncation mismatch")
+        out: dict[tuple[int, ...], int] = {}
+        cap = self.truncation
+        items = sorted(other.coeffs.items())
+        for part_a, ca in self.coeffs.items():
+            room = cap - sum(part_a)
+            for part_b, cb in items:
+                if sum(part_b) > room:
+                    continue
+                key = tuple(sorted(part_a + part_b, reverse=True))
+                out[key] = out.get(key, 0) + ca * cb
+        return ProductSeries(cap, out)
+
+    def pow(self, exponent: int) -> "ProductSeries":
+        """Repeated truncated multiplication (square and multiply)."""
+        if exponent < 0:
+            raise ValueError("exponent must be nonnegative")
+        result = ProductSeries.one(self.truncation)
+        base = self
+        e = exponent
+        while e:
+            if e & 1:
+                result = result * base
+            e >>= 1
+            if e:
+                base = base * base
+        return result
+
+
+def pow_product_cycle_series(n: int, m: int) -> ProductSeries:
     """The lazy pass's cycle series as the literal truncated product
     1/(1 - z_1 u) * prod_i two_sided_factor(i)^f(i, m), each power taken
-    by CycleSeries.pow (square and multiply)."""
-    series = CycleSeries.geometric_z1(n)
+    by ProductSeries.pow (square and multiply)."""
+    series = ProductSeries.geometric_z1(n)
     for i in range(1, n + 1):
-        series = series * CycleSeries.two_sided_factor(i, n).pow(f_im(i, m))
+        series = series * ProductSeries.two_sided_factor(i, n).pow(f_im(i, m))
     return series
 
 
-def by_label_enumerate(poset: Poset, m: int, mode: str) -> list[PPartition]:
+def by_label_enumerate(poset: Poset, m: int, mode: str) -> list[tuple[BarredInt, ...]]:
     """Bounded P-partitions by backtracking over elements 1..n with
     BarredInt values: each element tries every alphabet value in
     increasing order, and a covering pair is checked once both endpoints
     are assigned."""
-    values = alphabet(m, mode)
+    values = [BarredInt.from_rank(r) for r in alphabet(m, mode)]
     pending: list[list[tuple[int, int]]] = [[] for _ in range(poset.n + 1)]
     for i, j in poset.covers():
         pending[max(i, j)].append((i, j))
-    out: list[PPartition] = []
+    out: list[tuple[BarredInt, ...]] = []
     f: list[BarredInt] = [BarredInt(0)] * poset.n
 
     def assign(e: int) -> None:
@@ -263,7 +371,36 @@ def parse_two_line(text: str) -> PPartition:
     vals = lines[1].split()
     if cards != [str(i) for i in range(1, len(cards) + 1)] or len(vals) != len(cards):
         raise ValueError("malformed two-line array")
-    return tuple(BarredInt.parse(v) for v in vals)
+    return tuple(parse_value(v) for v in vals)
+
+
+def bottom_deal_permutation(f: PPartition) -> Perm:
+    """Sorting variant for a machine that deals cards to shelf bottoms:
+    tie-breaking is reversed on each value class (barred <=> odd rank)."""
+    return tuple(
+        sorted(
+            range(1, len(f) + 1),
+            key=lambda i: (f[i - 1], i if f[i - 1] & 1 else -i),
+        )
+    )
+
+
+def is_linear_extension(poset: Poset, p: Perm) -> bool:
+    """True when i < j in the poset implies i precedes j in p."""
+    if len(p) != poset.n:
+        raise ValueError(f"size mismatch: {len(p)} vs {poset.n}")
+    position = inverse(p)
+    return all(position[i - 1] < position[j - 1] for i, j in poset.relation)
+
+
+def parse_permutation(text: str) -> Perm:
+    """Inverse of format_permutation (commas optional for n <= 9)."""
+    text = text.strip()
+    if "," in text:
+        values = [int(part) for part in text.split(",")]
+    else:
+        values = [int(ch) for ch in text]
+    return check_permutation(values)
 
 
 class ScriptedRNG:

@@ -50,13 +50,12 @@ from shuffle_lab.permutations import (
 from shuffle_lab.posets import Poset, all_posets
 from shuffle_lab.ppartitions import (
     MODES,
-    BarredInt,
-    bottom_deal_permutation,
     enumerate_bounded,
+    parse_value,
     sorting_permutation,
 )
 
-from .oracles import ScriptedRNG
+from .oracles import ScriptedRNG, bottom_deal_permutation
 
 
 def _pass(name: str, detail: str = "") -> None:
@@ -125,7 +124,7 @@ def test_worked_shuffles_reproduce_reference_decks():
         assert outcome.composition == composition, model
         assert rng.exhausted()
 
-    f = tuple(BarredInt.parse(v) for v in "1- 0 0 2- 1- 1 0 2 2".split())
+    f = tuple(parse_value(v) for v in "1- 0 0 2- 1- 1 0 2 2".split())
     assert format_permutation(sorting_permutation(f)) == "237516489"
     assert format_permutation(bottom_deal_permutation(f)) == "732156498"
     _pass("worked-examples", "three decks + sort and bottom-deal, exact strings")

@@ -9,17 +9,14 @@ import pytest
 from shuffle_lab import analysis
 from shuffle_lab.analysis import (
     SERIES_CAP,
-    CycleSeries,
+    _two_sided_power,
     asymptotic_compare,
     count_table,
     cycle_count_series,
     cycle_distribution,
-    des_counts,
     expected_fixed_points,
     f_im,
     linf_distance,
-    lpk_counts,
-    pk_counts,
     sep_distance,
     tv_distance,
     verify_joint_lpk_cycle,
@@ -28,15 +25,20 @@ from shuffle_lab.models import MODELS, ShuffleSpec, exact_distribution, exact_pr
 from shuffle_lab.orderpoly import statistic_range
 from shuffle_lab.permutations import all_permutations, cycle_type_partition, fixed_points
 
-from .oracles import brute_statistic_counts, fraction_distances, pow_product_cycle_series
+from .oracles import (
+    ProductSeries,
+    brute_statistic_counts,
+    fraction_distances,
+    pow_product_cycle_series,
+)
 
 
 def test_count_table_examples():
-    assert lpk_counts(4).counts == (1, 18, 5)
-    assert lpk_counts(2).counts == (1, 1)
-    assert pk_counts(3).counts == (4, 2)
-    assert des_counts(3).counts == (1, 4, 1)
-    assert des_counts(1).counts == (1,)
+    assert count_table(4, "lpk").counts == (1, 18, 5)
+    assert count_table(2, "lpk").counts == (1, 1)
+    assert count_table(3, "pk").counts == (4, 2)
+    assert count_table(3, "des").counts == (1, 4, 1)
+    assert count_table(1, "des").counts == (1,)
     with pytest.raises(ValueError):
         count_table(0, "des")
     with pytest.raises(ValueError):
@@ -175,11 +177,11 @@ def test_f_im_values():
 
 
 def test_cycle_series_engine():
-    geo = CycleSeries.geometric_z1(3)
+    geo = ProductSeries.geometric_z1(3)
     assert geo.coeffs == {(): 1, (1,): 1, (1, 1): 1, (1, 1, 1): 1}
-    factor = CycleSeries.two_sided_factor(2, 6)
+    factor = ProductSeries.two_sided_factor(2, 6)
     assert factor.coeffs == {(): 1, (2,): 2, (2, 2): 2, (2, 2, 2): 2}
-    product = geo * CycleSeries.two_sided_factor(2, 3)
+    product = geo * ProductSeries.two_sided_factor(2, 3)
     assert product.coeffs[(2, 1)] == 2
     assert all(sum(part) <= 3 for part in product.coeffs)
     assert factor.pow(0).coeffs == {(): 1}
@@ -187,6 +189,11 @@ def test_cycle_series_engine():
     brute = factor * factor
     assert square.coeffs == brute.coeffs
     assert square.degree_slice(4) == {(2, 2): 8}
+    # the coefficient recurrence gives the powers that multiplication builds
+    assert _two_sided_power(3, 4) == [1, 6, 18, 38]
+    for f in range(6):
+        power = factor.pow(f)
+        assert [power.coeffs.get((2,) * j, 0) for j in range(4)] == _two_sided_power(f, 4)
     with pytest.raises(ValueError):
         factor.pow(-1)
     with pytest.raises(ValueError):

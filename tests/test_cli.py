@@ -1,7 +1,11 @@
-"""Command-line front end: output shapes, determinism, and exit codes."""
+"""Command-line front end and package wiring: output shapes, determinism,
+exit codes, the console script, and the public names of each module."""
 
+import ast
+import importlib
 import json
 import os
+import pkgutil
 import shutil
 import subprocess
 import sys
@@ -64,6 +68,22 @@ def test_simulate_formats(capsys):
     code, out, _ = run(capsys, "simulate", "--model", "shelf-lazy", "--n", "4",
                        "--m", "1", "--count", "0")
     assert code == 0 and out == ""
+
+
+def test_unseeded_simulate_reports_its_seed(capsys):
+    argv = ["simulate", "--model", "riffle-updown", "--n", "7", "--m", "2", "--count", "4"]
+    code, out, err = run(capsys, *argv, "--format", "json")
+    payload = json.loads(out)
+    assert code == 0 and err == "" and isinstance(payload["seed"], int)
+    code, again, err = run(capsys, *argv, "--format", "json", "--seed", str(payload["seed"]))
+    assert code == 0 and err == "" and json.loads(again) == payload
+    # text and csv report a drawn seed on one stderr line
+    for fmt in ("text", "csv"):
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert code == 0 and err.startswith("seed: ") and err.count("\n") == 1
+        seed = err.removeprefix("seed: ").strip()
+        code, again, err = run(capsys, *argv, "--format", fmt, "--seed", seed)
+        assert code == 0 and err == "" and again == out
 
 
 def test_simulate_writes_output_file(tmp_path, capsys):
@@ -269,6 +289,34 @@ def test_console_script_wiring():
     proc = run_console_script(target, "verify", "--self-test-corrupt")
     assert proc.returncode == 1
     assert proc.stdout.startswith("FAIL decomposition[corrupted]")
+
+
+PACKAGE_DIR = Path(shuffle_lab.__file__).resolve().parent
+MODULES = sorted(info.name for info in pkgutil.iter_modules([str(PACKAGE_DIR)]))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_public_names_resolve(name):
+    module = importlib.import_module(f"shuffle_lab.{name}")
+    namespace: dict = {}
+    exec(f"from shuffle_lab.{name} import *", namespace)  # AttributeError on a stale name
+    assert set(module.__all__) <= set(namespace)
+
+
+def test_package_does_not_import_the_tests():
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                assert node.level <= 1, (path.name, node.module)
+                names = [node.module or ""]
+            else:
+                continue
+            assert not {name.split(".")[0] for name in names} & {"tests", "oracles"}, (
+                path.name,
+                names,
+            )
 
 
 @pytest.mark.skipif(shutil.which("shuffle-lab") is None,

@@ -119,7 +119,7 @@ def test_op_vector_guardrails():
 
 def test_op_poset_antichain_and_chains():
     for n, m in itertools.product(range(1, 5), range(3)):
-        anti = Poset.antichain(n)
+        anti = Poset(n)
         assert op_poset(anti, m, "all") == (2 * m + 1) ** n
         assert op_poset(anti, m, "nonzero") == (2 * m) ** n
         assert op_poset(anti, m, "positive") == m**n
@@ -147,6 +147,10 @@ def test_generating_function_matches_closed_forms():
                 assert coefficients == [op_chain(n, k, m, mode) for m in range(8)]
     # out-of-range k gives the zero series
     assert gf_coefficients(4, 3, "all", 5) == [0] * 5
+    # the series hold for n >= 1 only, while the empty chain has one map
+    for mode in MODES:
+        with pytest.raises(ValueError):
+            gf_coefficients(0, 0, mode, 4)
 
 
 def test_statistic_totals_against_brute_counts():

@@ -16,10 +16,11 @@ from shuffle_lab.permutations import (
     identity,
     inverse,
     left_peaks,
-    parse_permutation,
     peaks,
     statistic,
 )
+
+from .oracles import parse_permutation
 
 EX = parse_permutation("237516489")
 

@@ -5,6 +5,8 @@ import pytest
 from shuffle_lab.permutations import all_permutations
 from shuffle_lab.posets import Poset, all_posets
 
+from .oracles import is_linear_extension
+
 
 def test_transitive_closure():
     poset = Poset(4, [(1, 2), (2, 3)])
@@ -31,7 +33,7 @@ def test_chain_and_antichain():
     chain = Poset.chain((2, 1, 3))
     assert chain.less(2, 1) and chain.less(1, 3) and chain.less(2, 3)
     assert chain.linear_extensions() == [(2, 1, 3)]
-    anti = Poset.antichain(3)
+    anti = Poset(3)
     assert anti.covers() == ()
     assert anti.linear_extensions() == sorted(all_permutations(3))
 
@@ -46,9 +48,9 @@ def test_is_linear_extension_agrees_with_enumeration():
     poset = Poset(4, [(1, 2), (3, 2), (3, 4)])
     listed = set(poset.linear_extensions())
     for p in all_permutations(4):
-        assert poset.is_linear_extension(p) == (p in listed)
+        assert is_linear_extension(poset, p) == (p in listed)
     with pytest.raises(ValueError):
-        poset.is_linear_extension((1, 2, 3))
+        is_linear_extension(poset, (1, 2, 3))
 
 
 def test_covers_of_diamond():
