@@ -10,8 +10,8 @@ generating function
 
     1/(1 - z_1 u) * prod_i ((1 + z_i u^i)/(1 - z_i u^i))^f(i, m)
 
-as a truncated series with integer coefficients indexed by cycle type;
-scaling u by 1/(2m+1) turns degree-n coefficients into probabilities.
+to its degree-n coefficients only: integers indexed by cycle type, which
+divided by (2m+1)^n are probabilities.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ from .permutations import all_permutations, cycle_type_partition, left_peaks
 
 __all__ = [
     "AsymptoticReport",
-    "CountTable",
-    "CycleSeries",
     "JointIdentityReport",
     "SERIES_CAP",
     "asymptotic_compare",
@@ -44,26 +42,16 @@ __all__ = [
     "verify_joint_lpk_cycle",
 ]
 
-# the series holds one integer per partition of each degree d <= n, each
-# below (2m+1)^d: 28,629 keys in all at n = 30, which is still comfortable
+# the series holds one integer below (2m+1)^n per partition of n (and as
+# many, one per partition into parts >= 2, before the ones are added):
+# 5,604 keys at n = 30, which is still comfortable
 SERIES_CAP = 30
 
 
-@dataclass(frozen=True)
-class CountTable:
-    """counts[k] = number of permutations of {1..n} with statistic value k."""
-
-    n: int
-    kind: str
-    counts: tuple[int, ...]
-
-    def total(self) -> int:
-        return sum(self.counts)
-
-
 @lru_cache(maxsize=None)
-def count_table(n: int, kind: str) -> CountTable:
-    """Statistic class sizes via two-term recurrences on n.
+def count_table(n: int, kind: str) -> tuple[int, ...]:
+    """Statistic class sizes: entry k is the number of permutations of
+    {1..n} with statistic value k, via two-term recurrences on n.
 
     lpk: l(n,k) = (2k+1)   l(n-1,k) + (n+1-2k) l(n-1,k-1)
     pk:  p(n,k) = (2k+2)   p(n-1,k) + (n-2k)   p(n-1,k-1)
@@ -89,7 +77,7 @@ def count_table(n: int, kind: str) -> CountTable:
             below = prev[k - 1] if k >= 1 else 0
             here = prev[k] if k < len(prev) else 0
             row.append(stay * here + carry * below)
-    return CountTable(n, kind, tuple(row))
+    return tuple(row)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +90,7 @@ def _integer_law(spec: ShuffleSpec) -> tuple[tuple[int, ...], list[int], int]:
 
     Raises ValueError unless the law sums to one, sum count_k ops_k == T.
     """
-    counts = count_table(spec.n, spec.statistic_kind).counts
+    counts = count_table(spec.n, spec.statistic_kind)
     ops = op_vector(spec.n, spec.m, spec.mode)
     total = spec.total_outcomes
     mass = sum(count * op for count, op in zip(counts, ops, strict=True))
@@ -169,6 +157,8 @@ class AsymptoticReport:
 def asymptotic_compare(n: int, c: float) -> AsymptoticReport:
     """Lazy-model distances at shelf count m = round(c n^(3/2)), reported
     beside the limits exp(1/(12 c^2)) - 1 and 1 - exp(-1/(24 c^2))."""
+    if not c > 0:
+        raise ValueError(f"c must be positive, got {c!r}")
     m = round(c * n**1.5)
     spec = ShuffleSpec(n, m, "shelf-lazy")
     return AsymptoticReport(
@@ -223,24 +213,6 @@ def f_im(i: int, m: int) -> int:
     return quotient
 
 
-class CycleSeries:
-    """Truncated series whose terms are cycle-type monomials.
-
-    A monomial z_{i1} z_{i2} ... (a partition, stored largest part first)
-    always carries u to the power of the partition's sum, so coefficients
-    are keyed by partition alone; ``truncation`` bounds that sum.
-    """
-
-    __slots__ = ("truncation", "coeffs")
-
-    def __init__(self, truncation: int, coeffs: dict[tuple[int, ...], int]):
-        self.truncation = truncation
-        self.coeffs = {k: v for k, v in coeffs.items() if v}
-
-    def degree_slice(self, d: int) -> dict[tuple[int, ...], int]:
-        return {k: v for k, v in self.coeffs.items() if sum(k) == d}
-
-
 def _two_sided_power(f: int, terms: int) -> list[int]:
     """[x^j] ((1 + x)/(1 - x))^f for j < terms.
 
@@ -256,23 +228,28 @@ def _two_sided_power(f: int, terms: int) -> list[int]:
     return coeffs[:terms]
 
 
-def cycle_count_series(n: int, m: int) -> CycleSeries:
-    """The integer-coefficient product series truncated at degree n; the
-    coefficient of a partition of d, divided by (2m+1)^d, is the chance a
-    lazy pass on d cards has that cycle type.
+def cycle_count_series(n: int, m: int) -> dict[tuple[int, ...], int]:
+    """The degree-n coefficients of the integer product series: a map from
+    each cycle type (partition of n, largest part first) with nonzero
+    coefficient to that coefficient, which divided by (2m+1)^n is the
+    chance a lazy pass on n cards has that cycle type.
 
-    Each factor's power is written down by its coefficient recurrence, and
-    the factors are multiplied in from i = n down to 1, so appending i-parts
-    to a partition keeps it largest part first.  The z_1 geometric series
-    joins the i = 1 factor as prefix sums of its coefficients.
+    A monomial z_{i1} z_{i2} ... always carries u to the power of the
+    partition's sum, so coefficients are keyed by partition alone.  Each
+    factor's power is written down by its coefficient recurrence, and the
+    factors are multiplied in from i = n down to 2, so appending i-parts to
+    a partition keeps it largest part first.  The z_1 geometric series
+    joins the i = 1 factor as prefix sums of its coefficients, and that
+    factor completes each partition of d to degree n in exactly one way,
+    with n - d ones.
     """
+    if n < 1:
+        raise ValueError("n must be positive")
     if n > SERIES_CAP:
         raise ValueError(f"series degree capped at {SERIES_CAP}")
     coeffs: dict[tuple[int, ...], int] = {(): 1}
-    for i in range(n, 0, -1):
+    for i in range(n, 1, -1):
         power = _two_sided_power(f_im(i, m), n // i + 1)
-        if i == 1:
-            power = list(itertools.accumulate(power))
         grown: dict[tuple[int, ...], int] = {}
         for part, c in coeffs.items():
             room = (n - sum(part)) // i
@@ -280,7 +257,11 @@ def cycle_count_series(n: int, m: int) -> CycleSeries:
                 if a:
                     grown[part + (i,) * j] = c * a
         coeffs = grown
-    return CycleSeries(n, coeffs)
+    ones = list(itertools.accumulate(_two_sided_power(f_im(1, m), n + 1)))
+    return {
+        part + (1,) * (n - sum(part)): c * ones[n - sum(part)]
+        for part, c in coeffs.items()
+    }
 
 
 def cycle_distribution(spec: ShuffleSpec) -> dict[tuple[int, ...], Fraction]:
@@ -288,7 +269,7 @@ def cycle_distribution(spec: ShuffleSpec) -> dict[tuple[int, ...], Fraction]:
     under one lazy pass.  Masses are nonnegative and sum to 1."""
     if spec.model != "shelf-lazy":
         raise ValueError("cycle structure is computed for the lazy model only")
-    counts = sorted(cycle_count_series(spec.n, spec.m).degree_slice(spec.n).items())
+    counts = sorted(cycle_count_series(spec.n, spec.m).items())
     total = spec.total_outcomes
     if sum(c for _, c in counts) != total:
         raise AssertionError("cycle-type masses do not sum to 1")
@@ -344,7 +325,10 @@ class JointIdentityReport:
 def verify_joint_lpk_cycle(n: int, m_max: int) -> JointIdentityReport:
     """For each m <= m_max, group S_n by cycle type, total the left-peak
     generating kernel's t^m coefficient over each group, and compare with
-    the degree-n slice of the product series.  Exact equality required."""
+    the degree-n coefficients of the product series.  Exact equality
+    required."""
+    if m_max < 1:
+        raise ValueError("m_max must be at least 1")
     if n > 6 or m_max > 4:
         raise ValueError("joint identity check capped at n <= 6, m_max <= 4")
     per_k = {
@@ -356,7 +340,7 @@ def verify_joint_lpk_cycle(n: int, m_max: int) -> JointIdentityReport:
         by_type.setdefault(cycle_type_partition(p), []).append(left_peaks(p))
     checked = 0
     for m in range(1, m_max + 1):
-        rhs = cycle_count_series(n, m).degree_slice(n)
+        rhs = cycle_count_series(n, m)
         for part in sorted(set(by_type) | set(rhs)):
             lhs = sum(per_k[k][m] for k in by_type.get(part, []))
             checked += 1

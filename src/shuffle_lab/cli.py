@@ -328,11 +328,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_cycles(args: argparse.Namespace) -> int:
     spec = models.ShuffleSpec(args.n, args.m, "shelf-lazy")
     table = analysis.cycle_distribution(spec)
-    rows = [
-        {"type": list(part), "prob_num": str(p.numerator), "prob_den": str(p.denominator)}
-        for part, p in table.items()
-    ]
     if args.format == "json":
+        rows = [
+            {"type": list(part), "prob_num": str(p.numerator), "prob_den": str(p.denominator)}
+            for part, p in table.items()
+        ]
         payload = {"model": spec.model, "n": spec.n, "m": spec.m, "types": rows}
         text = json.dumps(payload, indent=2) + "\n"
     elif args.format == "csv":

@@ -31,9 +31,8 @@ from .orderpoly import (
     convolved_bound,
     mode_statistic,
     op_chain,
-    op_vector,
 )
-from .permutations import Perm, inverse, statistic
+from .permutations import Perm, check_permutation, inverse, statistic
 
 __all__ = [
     "ConvolutionReport",
@@ -175,7 +174,9 @@ def exact_prob(p: Perm, spec: ShuffleSpec) -> Fraction:
     """Exact probability that one pass produces deck order p.
 
     Shelf models read the statistic off p, riffle models off inverse(p).
+    ValueError unless p is a permutation of {1..n}.
     """
+    p = check_permutation(p)
     if len(p) != spec.n:
         raise ValueError(f"size mismatch: {len(p)} vs {spec.n}")
     q = inverse(p) if spec.riffle else p
@@ -200,25 +201,17 @@ class ExactDist:
         if total != 1:
             raise ValueError(f"class probabilities sum to {total}, not 1")
 
-    def prob(self, k: int) -> Fraction:
-        for kk, prob, _ in self.classes:
-            if kk == k:
-                return prob
-        raise KeyError(k)
-
 
 def exact_distribution(spec: ShuffleSpec) -> ExactDist:
-    """The full law of one pass, one row per statistic class."""
-    from .analysis import count_table
+    """The full law of one pass, one row per statistic class, read off the
+    integer law (ValueError unless it sums to one)."""
+    from .analysis import _integer_law
 
-    kind = spec.statistic_kind
-    counts = count_table(spec.n, kind).counts
-    ops = op_vector(spec.n, spec.m, spec.mode)
-    total = spec.total_outcomes
+    counts, ops, total = _integer_law(spec)
     rows = tuple(
         (k, Fraction(op, total), count) for k, (op, count) in enumerate(zip(ops, counts))
     )
-    return ExactDist(spec, kind, rows)
+    return ExactDist(spec, spec.statistic_kind, rows)
 
 
 def convolve(spec1: ShuffleSpec, spec2: ShuffleSpec) -> ShuffleSpec:
@@ -263,20 +256,18 @@ class ConvolutionReport:
         return d
 
 
-def group_algebra_product_check(n: int, k: int, l: int, family: str) -> ConvolutionReport:
+def group_algebra_product_check(n: int, k: int, l: int, model: str) -> ConvolutionReport:
     """Convolve the exact n!-point laws of two passes (parameters k then l)
     and compare with the single convolved pass, exactly.
 
-    ``family`` is a model name, or "lazy", "standard" or "strict" for that
-    shelf machine.  The two laws share the denominator of the convolved
-    law, so the sum over products st = pi runs in integers, read off the
-    class-product table.  A riffle's law reads the inverse, and
-    (st)^-1 = t^-1 s^-1, so its sum at pi is the one at pi^-1 with the two
-    passes swapped.  Capped at n <= 6.
+    The two laws share the denominator of the convolved law, so the sum
+    over products st = pi runs in integers, read off the class-product
+    table.  A riffle's law reads the inverse, and (st)^-1 = t^-1 s^-1, so
+    its sum at pi is the one at pi^-1 with the two passes swapped.  Capped
+    at n <= 6.
     """
     if n > 6:
         raise ValueError("exhaustive convolution check capped at n <= 6")
-    model = family if family in MODELS else f"shelf-{family}"
     a, b = ShuffleSpec(n, k, model), ShuffleSpec(n, l, model)
     c = convolve(a, b)
     assert a.total_outcomes * b.total_outcomes == c.total_outcomes

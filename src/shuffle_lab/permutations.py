@@ -27,7 +27,6 @@ __all__ = [
     "descents",
     "fixed_points",
     "format_permutation",
-    "identity",
     "inverse",
     "left_peaks",
     "peaks",
@@ -45,10 +44,6 @@ def check_permutation(p: Iterable[int]) -> Perm:
     if sorted(t) != list(range(1, len(t) + 1)):
         raise ValueError(f"not a permutation of 1..{len(t)}: {t!r}")
     return t
-
-
-def identity(n: int) -> Perm:
-    return tuple(range(1, n + 1))
 
 
 def all_permutations(n: int) -> Iterator[Perm]:

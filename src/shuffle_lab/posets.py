@@ -60,9 +60,6 @@ class Poset:
         p = check_permutation(p)
         return cls(len(p), zip(p, p[1:]))
 
-    def less(self, i: int, j: int) -> bool:
-        return (i, j) in self.relation
-
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Covering pairs (i, j): i < j with no element strictly between."""
         if self._covers is None:

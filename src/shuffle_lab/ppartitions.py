@@ -46,7 +46,6 @@ __all__ = [
     "riffle_outcome_to_ppartition",
     "shelf_outcome_from_ppartition",
     "sorting_permutation",
-    "variant_mode",
 ]
 
 # refuse exhaustive enumeration beyond this many candidate functions
@@ -81,9 +80,8 @@ def parse_value(text: str) -> int:
 
 @dataclass(frozen=True)
 class Mode:
-    """One value alphabet: the ranks low, low + step, ... up to 2m, the
-    statistic that indexes its chain counts, and the riffle variant that
-    cuts the deck into one pile per value.
+    """One value alphabet: the ranks low, low + step, ... up to 2m, and the
+    statistic that indexes its chain counts.
 
     "all" keeps every value, "nonzero" drops 0, and "positive" keeps only
     the plain values 1..m (a barred value can never satisfy the
@@ -94,7 +92,6 @@ class Mode:
     statistic: str
     low: int  # lowest rank
     step: int  # 2 keeps only the plain values
-    variant: str
 
     def ranks(self, m: int) -> range:
         if m < 0:
@@ -130,9 +127,9 @@ class Mode:
 MODES = {
     mode.name: mode
     for mode in (
-        Mode("all", "lpk", 0, 1, "up-down"),
-        Mode("nonzero", "pk", 1, 1, "down-up"),
-        Mode("positive", "des", 2, 2, "classic"),
+        Mode("all", "lpk", 0, 1),
+        Mode("nonzero", "pk", 1, 1),
+        Mode("positive", "des", 2, 2),
     )
 }
 
@@ -314,14 +311,6 @@ def ppartition_from_shelf_outcome(
     return _map_of_arrangement(outcome.composition, inverse(p), mode)
 
 
-def variant_mode(variant: str) -> str:
-    """Mode of the value alphabet used by each riffle variant."""
-    for mode in MODES.values():
-        if mode.variant == variant:
-            return mode.name
-    raise ValueError(f"unknown riffle variant: {variant!r}")
-
-
 def cut_piles(values: tuple[int, ...], A: WeakComposition) -> list[list[int]]:
     """The piles of a riffle cut, in value order, each listed top to
     bottom: pile j holds the next A[j] cards of the deck, flipped when its
@@ -334,25 +323,24 @@ def cut_piles(values: tuple[int, ...], A: WeakComposition) -> list[list[int]]:
     return piles
 
 
-def pile_poset(A: WeakComposition, variant: str) -> Poset:
-    """Chains forcing each pile's internal order after the cut; a flipped
-    pile's chain runs downward through the labels."""
-    piles = cut_piles(_composition_alphabet(A, variant_mode(variant)), A)
+def pile_poset(A: WeakComposition, mode: str) -> Poset:
+    """Chains forcing each pile's internal order after a cut over the
+    mode's alphabet; a flipped pile's chain runs downward through the
+    labels."""
+    piles = cut_piles(_composition_alphabet(A, mode), A)
     return Poset(sum(A), [pair for pile in piles for pair in zip(pile, pile[1:])])
 
 
-def riffle_outcome_to_ppartition(
-    A: WeakComposition, s: Perm, variant: str
-) -> PPartition:
+def riffle_outcome_to_ppartition(A: WeakComposition, s: Perm, mode: str) -> PPartition:
     """The unique placement map behind a riffle outcome.
 
     ``A`` is the cut (cards per pile, piles in value order) and ``s`` the
     deck arrangement after interleaving.  The image multiset of the result
     is forced by A, and its sorting permutation is inverse(s).  Raises
     ValueError when s does not respect the pile order, i.e. is not a
-    linear extension of pile_poset(A, variant).
+    linear extension of pile_poset(A, mode).
     """
-    return _map_of_arrangement(A, s, variant_mode(variant))
+    return _map_of_arrangement(A, s, mode)
 
 
 # ---------------------------------------------------------------------------

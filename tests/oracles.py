@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import total_ordering
 
 from shuffle_lab import models
-from shuffle_lab.analysis import CycleSeries, count_table, f_im
+from shuffle_lab.analysis import count_table, f_im
 from shuffle_lab.models import ConvolutionReport, ExactDist, ShuffleSpec, convolve
 from shuffle_lab.orderpoly import (
     DecompositionReport,
@@ -148,7 +148,7 @@ def fraction_distances(spec: ShuffleSpec) -> tuple[Fraction, Fraction, Fraction]
     statistic class, tv as half the count-weighted sum of
     |class probability - 1/n!|, sep and linf from the extreme classes."""
     n, total = spec.n, spec.total_outcomes
-    counts = count_table(n, spec.statistic_kind).counts
+    counts = count_table(n, spec.statistic_kind)
     classes = [
         (Fraction(op_chain(n, k, spec.m, spec.mode), total), counts[k])
         for k in statistic_range(spec.statistic_kind, n)
@@ -187,14 +187,13 @@ def product_loop_decomposition(
     return DecompositionReport(n, k, l, mode, True, checked)
 
 
-def compose_loop_convolution(n: int, k: int, l: int, family: str) -> ConvolutionReport:
+def compose_loop_convolution(n: int, k: int, l: int, model: str) -> ConvolutionReport:
     """models.group_algebra_product_check by the full n!^2 product loop:
     accumulate the two passes' integer weights onto compose(s, t) for
     every pair, then compare each pi, in lexicographic order, with
     models.exact_prob of the single convolved pass."""
     if n > 6:
         raise ValueError("exhaustive convolution check capped at n <= 6")
-    model = family if family in models.MODELS else f"shelf-{family}"
     a, b = ShuffleSpec(n, k, model), ShuffleSpec(n, l, model)
     c = convolve(a, b)
     assert a.total_outcomes * b.total_outcomes == c.total_outcomes
@@ -219,11 +218,24 @@ def compose_loop_convolution(n: int, k: int, l: int, family: str) -> Convolution
     return ConvolutionReport(n, k, l, model, True)
 
 
-class ProductSeries(CycleSeries):
-    """A cycle series with truncated multiplication, for building the
-    product form factor by factor."""
+class ProductSeries:
+    """A truncated series whose terms are cycle-type monomials, with
+    truncated multiplication, for building the product form factor by
+    factor.
 
-    __slots__ = ()
+    A monomial z_{i1} z_{i2} ... (a partition, stored largest part first)
+    always carries u to the power of the partition's sum, so coefficients
+    are keyed by partition alone; ``truncation`` bounds that sum.
+    """
+
+    __slots__ = ("truncation", "coeffs")
+
+    def __init__(self, truncation: int, coeffs: dict[tuple[int, ...], int]):
+        self.truncation = truncation
+        self.coeffs = {k: v for k, v in coeffs.items() if v}
+
+    def degree_slice(self, d: int) -> dict[tuple[int, ...], int]:
+        return {k: v for k, v in self.coeffs.items() if sum(k) == d}
 
     @classmethod
     def one(cls, truncation: int) -> "ProductSeries":

@@ -101,7 +101,7 @@ def test_two_lazy_passes_collapse_to_one():
     once = ShuffleSpec(52, 10, "shelf-lazy")
     assert convolve(once, once) == ShuffleSpec(52, 220, "shelf-lazy")
     for n in range(1, 7):
-        report = group_algebra_product_check(n, 10, 10, "lazy")
+        report = group_algebra_product_check(n, 10, 10, "shelf-lazy")
         assert report.ok, report.to_dict()
     assert format_fixed(tv_distance(ShuffleSpec(52, 220, "shelf-lazy"))) == "0.0083"
     _pass("repeated-pass", "law equality exact for n<=6; tv(52, m=220) = 0.0083")
@@ -178,7 +178,7 @@ def test_identity_suite():
             table = count_table(n, mode_statistic(mode))
             for m in range(5):
                 total = sum(
-                    size * op_chain(n, k, m, mode) for k, size in enumerate(table.counts)
+                    size * op_chain(n, k, m, mode) for k, size in enumerate(table)
                 )
                 assert total == base(m) ** n, (n, mode, m)
     _pass(

@@ -27,7 +27,6 @@ from shuffle_lab.permutations import (
     all_permutations,
     descents,
     format_permutation,
-    identity,
     inverse,
 )
 
@@ -94,7 +93,7 @@ def test_spec_properties():
 def test_exact_prob_examples():
     strict = ShuffleSpec(4, 1, "shelf-strict")
     for p in all_permutations(4):
-        assert exact_prob(p, strict) == (1 if p == identity(4) else 0)
+        assert exact_prob(p, strict) == (1 if p == (1, 2, 3, 4) else 0)
     lazy = ShuffleSpec(2, 1, "shelf-lazy")
     assert exact_prob((1, 2), lazy) == Fraction(5, 9)
     assert exact_prob((2, 1), lazy) == Fraction(4, 9)
@@ -116,6 +115,14 @@ def test_exact_prob_riffles_read_the_inverse():
     assert exact_prob(p, ShuffleSpec(4, 1, "riffle-updown")) == 0
     with pytest.raises(ValueError):
         exact_prob((1, 2), ShuffleSpec(3, 1, "shelf-lazy"))
+
+
+def test_exact_prob_rejects_non_permutations():
+    for model in ("shelf-lazy", "riffle-updown"):
+        spec = ShuffleSpec(2, 1, model)
+        for p in ((1, 1), (2, 3), (0, 1)):
+            with pytest.raises(ValueError, match="not a permutation"):
+                exact_prob(p, spec)
 
 
 def test_full_outcome_space_reproduces_exact_probs():
@@ -181,14 +188,13 @@ def test_simulate_requires_matching_family():
 def test_simulate_riffle_outcome_is_consistent():
     for model in RIFFLE_MODELS:
         spec = ShuffleSpec(6, 2, model)
-        variant = {"riffle-updown": "up-down", "riffle-downup": "down-up", "riffle-classic": "classic"}[model]
         rng = random.Random(13)
         for _ in range(200):
             outcome, perm = simulate_riffle(spec, rng)
             assert perm == outcome.permutation
             assert sum(outcome.composition) == 6
             # the pair is a genuine machine outcome: the conversion accepts it
-            f = pp.riffle_outcome_to_ppartition(outcome.composition, perm, variant)
+            f = pp.riffle_outcome_to_ppartition(outcome.composition, perm, spec.mode)
             assert pp.sorting_permutation(f) == inverse(perm)
 
 
@@ -257,7 +263,7 @@ def test_classic_single_pile_is_identity():
     rng = random.Random(3)
     for _ in range(20):
         outcome, perm = simulate_riffle(spec, rng)
-        assert perm == identity(5)
+        assert perm == (1, 2, 3, 4, 5)
         assert outcome.composition == (5,)
 
 
@@ -265,10 +271,11 @@ def test_exact_distribution_examples():
     dist = exact_distribution(ShuffleSpec(2, 1, "shelf-lazy"))
     assert dist.statistic == "lpk"
     assert dist.classes == ((0, Fraction(5, 9), 1), (1, Fraction(4, 9), 1))
-    assert dist.prob(1) == Fraction(4, 9)
+    probs = {k: prob for k, prob, _ in dist.classes}
+    assert probs[1] == Fraction(4, 9)
     assert class_size(dist, 0) == 1
     with pytest.raises(KeyError):
-        dist.prob(2)
+        probs[2]
     # normalization holds for a larger strict table too
     strict = exact_distribution(ShuffleSpec(6, 3, "shelf-strict"))
     assert sum(prob * count for _, prob, count in strict.classes) == 1
@@ -296,8 +303,9 @@ def test_exact_distribution_json_shape():
 
 def test_lazy_support_is_bounded_by_shelf_count():
     dist = exact_distribution(ShuffleSpec(6, 2, "shelf-lazy"))
-    assert dist.prob(3) == 0
-    assert dist.prob(2) > 0
+    probs = {k: prob for k, prob, _ in dist.classes}
+    assert probs[3] == 0
+    assert probs[2] > 0
     big = exact_distribution(ShuffleSpec(52, 10, "shelf-lazy"))
     assert all(prob == 0 for k, prob, _ in big.classes if k > 10)
     assert sum(prob * count for _, prob, count in big.classes) == 1
@@ -318,14 +326,16 @@ def test_convolve_rules():
 
 
 def test_group_algebra_product_check():
-    for family in ("lazy", "standard", "strict"):
-        assert group_algebra_product_check(4, 1, 1, family).ok
-    assert group_algebra_product_check(5, 1, 2, "lazy").ok
-    assert group_algebra_product_check(4, 0, 2, "lazy").ok
+    for model in SHELF_MODELS:
+        assert group_algebra_product_check(4, 1, 1, model).ok
+    assert group_algebra_product_check(5, 1, 2, "shelf-lazy").ok
+    assert group_algebra_product_check(4, 0, 2, "shelf-lazy").ok
     report = group_algebra_product_check(3, 2, 3, "riffle-downup")
     assert report.ok and report.to_dict()["ok"] is True
     with pytest.raises(ValueError):
-        group_algebra_product_check(7, 1, 1, "lazy")
+        group_algebra_product_check(7, 1, 1, "shelf-lazy")
+    with pytest.raises(ValueError, match="unknown model"):
+        group_algebra_product_check(4, 1, 1, "lazy")
 
 
 def _report_or_error(check, *args):

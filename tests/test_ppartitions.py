@@ -11,7 +11,6 @@ import pytest
 from shuffle_lab.permutations import (
     all_permutations,
     format_permutation,
-    identity,
     inverse,
 )
 from shuffle_lab.posets import Poset, all_posets
@@ -30,7 +29,6 @@ from shuffle_lab.ppartitions import (
     riffle_outcome_to_ppartition,
     shelf_outcome_from_ppartition,
     sorting_permutation,
-    variant_mode,
 )
 
 from .oracles import (
@@ -123,7 +121,7 @@ def test_mode_bound_rejects_sizes_with_no_reading():
 
 def test_sorting_permutation_examples():
     assert format_permutation(sorting_permutation(F_EX)) == "237516489"
-    assert sorting_permutation((0,) * 4) == identity(4)
+    assert sorting_permutation((0,) * 4) == tuple(range(1, 5))
     assert sorting_permutation((1,) * 3) == (3, 2, 1)
 
 
@@ -212,7 +210,7 @@ def test_shelf_outcome_worked_example():
 def test_shelf_outcome_constant_zero():
     outcome = shelf_outcome_from_ppartition((0,) * 4, 2)
     assert outcome.composition == (4, 0, 0, 0, 0)
-    assert outcome.permutation == identity(4)
+    assert outcome.permutation == tuple(range(1, 5))
 
 
 def test_shelf_outcome_value_errors():
@@ -247,16 +245,8 @@ def test_shelf_outcome_rejects_inconsistent_permutation():
         ppartition_from_shelf_outcome(ShuffleOutcome((3, -1, 0), (1, 2)))
 
 
-def test_variant_modes():
-    assert variant_mode("up-down") == "all"
-    assert variant_mode("down-up") == "nonzero"
-    assert variant_mode("classic") == "positive"
-    with pytest.raises(ValueError):
-        variant_mode("riffle")
-
-
 def test_pile_poset_flips_barred_piles():
-    poset = pile_poset((3, 4, 3, 4, 2), "up-down")
+    poset = pile_poset((3, 4, 3, 4, 2), "all")
     assert poset.n == 16
     expected = {
         (1, 2), (2, 3),                      # pile of value 0, ascending
@@ -266,12 +256,14 @@ def test_pile_poset_flips_barred_piles():
         (15, 16),                            # pile of value 2
     }
     assert set(poset.covers()) == expected
+    with pytest.raises(ValueError, match="unknown mode"):
+        pile_poset((3, 4, 3, 4, 2), "up-down")  # a riffle's name, not a mode
 
 
 def test_riffle_outcome_image_multiset():
     A = (3, 4, 3, 4, 2)
     s = (1, 2, 3, 7, 6, 5, 4, 8, 9, 10, 14, 13, 12, 11, 15, 16)
-    f = riffle_outcome_to_ppartition(A, s, "up-down")
+    f = riffle_outcome_to_ppartition(A, s, "all")
     values = alphabet(2, "all")
     image = sorted(f)
     assert image == [values[0]] * 3 + [values[1]] * 4 + [values[2]] * 3 + [
@@ -283,30 +275,30 @@ def test_riffle_outcome_image_multiset():
 def test_riffle_outcome_rejects_bad_arrangement():
     A = (3, 4, 3, 4, 2)
     with pytest.raises(ValueError):
-        riffle_outcome_to_ppartition(A, identity(16), "up-down")
+        riffle_outcome_to_ppartition(A, tuple(range(1, 17)), "all")
     with pytest.raises(ValueError):
-        riffle_outcome_to_ppartition((2, 1), (1, 2), "up-down")  # even length
+        riffle_outcome_to_ppartition((2, 1), (1, 2), "all")  # even length
     with pytest.raises(ValueError):
-        riffle_outcome_to_ppartition((2, 2), (1, 2, 3), "down-up")
+        riffle_outcome_to_ppartition((2, 2), (1, 2, 3), "nonzero")
 
 
 def test_riffle_single_pile_classic():
-    f = riffle_outcome_to_ppartition((3,), identity(3), "classic")
+    f = riffle_outcome_to_ppartition((3,), tuple(range(1, 4)), "positive")
     assert f == (2,) * 3
     with pytest.raises(ValueError):
-        riffle_outcome_to_ppartition((3,), (2, 1, 3), "classic")
+        riffle_outcome_to_ppartition((3,), (2, 1, 3), "positive")
 
 
 def test_riffle_outcomes_biject_with_bounded_maps():
-    # up-down, n=4, m=1: (cut, arrangement) pairs <-> all 3^4 bounded maps
+    # up-down riffle, n=4, m=1: (cut, arrangement) pairs <-> all 3^4 bounded maps
     n, pile_count = 4, 3
     produced = []
     for A in itertools.product(range(n + 1), repeat=pile_count):
         if sum(A) != n:
             continue
-        poset = pile_poset(A, "up-down")
+        poset = pile_poset(A, "all")
         for s in poset.linear_extensions():
-            produced.append(riffle_outcome_to_ppartition(A, s, "up-down"))
+            produced.append(riffle_outcome_to_ppartition(A, s, "all"))
     assert len(produced) == 3**n
     assert len(set(produced)) == 3**n
     assert set(produced) == set(enumerate_bounded(Poset(n), 1, "all"))
