@@ -1,9 +1,11 @@
 """Statistic count tables, distances to uniformity, fixed-point and
 cycle-structure statistics of the lazy shelf model.
 
-Count tables satisfy short two-term recurrences (validated exhaustively in
-the tests), so distances at n = 52 are exact rational arithmetic over a
-few dozen statistic classes rather than 52! permutations.
+A one-pass law is constant on statistic classes, so each distance is an
+integer sum over at most n classes of class size (count_table, two-term
+recurrences on n) times chain count (orderpoly.op_vector), not a sum over
+n! permutations.  Every law is checked to sum to one before a distance is
+read from it; distances stay exact at n in the thousands.
 
 The cycle machinery expands the product form of the lazy model's cycle
 generating function
@@ -21,6 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .models import ShuffleSpec
 from .orderpoly import gf_coefficients, op_vector, statistic_range
@@ -56,27 +59,29 @@ def count_table(n: int, kind: str) -> tuple[int, ...]:
     lpk: l(n,k) = (2k+1)   l(n-1,k) + (n+1-2k) l(n-1,k-1)
     pk:  p(n,k) = (2k+2)   p(n-1,k) + (n-2k)   p(n-1,k-1)
     des: A(n,k) = (k+1)    A(n-1,k) + (n-k)    A(n-1,k-1)
+
+    Each row is one pass over the previous row and its shift by one,
+    with the coefficients as arithmetic progressions in k.  The Eulerian
+    row is a palindrome, A(n,k) = A(n, n-1-k) (reverse a permutation), so
+    only its left half is computed and then mirrored.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if kind == "lpk":
-        coef = lambda nn, k: (2 * k + 1, nn + 1 - 2 * k)
-    elif kind == "pk":
-        coef = lambda nn, k: (2 * k + 2, nn - 2 * k)
-    elif kind == "des":
-        coef = lambda nn, k: (k + 1, nn - k)
-    else:
+    if kind not in ("lpk", "pk", "des"):
         raise ValueError(f"unknown statistic kind: {kind!r}")
     row = [1]
     for nn in range(2, n + 1):
-        ks = statistic_range(kind, nn)
-        prev = row + [0, 0]
-        row = []
-        for k in ks:
-            stay, carry = coef(nn, k)
-            below = prev[k - 1] if k >= 1 else 0
-            here = prev[k] if k < len(prev) else 0
-            row.append(stay * here + carry * below)
+        here, below = row + [0], [0] + row
+        if kind == "lpk":
+            stay, carry = range(1, nn + 2, 2), range(nn + 1, -1, -2)
+        elif kind == "pk":
+            stay, carry = range(2, nn + 2, 2), range(nn, -1, -2)
+        else:
+            half = (nn + 1) // 2
+            stay, carry = range(1, half + 1), range(nn, nn - half, -1)
+        row = [s * h + c * b for s, c, h, b in zip(stay, carry, here, below)]
+        if kind == "des":
+            row += row[nn - half - 1 :: -1]
     return tuple(row)
 
 
@@ -84,42 +89,54 @@ def count_table(n: int, kind: str) -> tuple[int, ...]:
 # distances to the uniform distribution
 
 
-def _integer_law(spec: ShuffleSpec) -> tuple[tuple[int, ...], list[int], int]:
-    """(class sizes, chain counts, T) of one pass, in integers: each
-    permutation in class k has probability ops[k] / T, T = choices^n.
+def _integer_law(
+    spec: ShuffleSpec,
+) -> tuple[tuple[int, ...], list[int], int, list[int]]:
+    """(class sizes, chain counts, T, class masses) of one pass, in
+    integers: each permutation in class k has probability ops[k] / T,
+    T = choices^n, and the class as a whole masses[k] / T, with
+    masses[k] = counts[k] ops[k].
 
-    Raises ValueError unless the law sums to one, sum count_k ops_k == T.
+    Raises ValueError unless the law sums to one, sum masses == T.
     """
     counts = count_table(spec.n, spec.statistic_kind)
     ops = op_vector(spec.n, spec.m, spec.mode)
+    if len(ops) != len(counts):
+        raise ValueError(f"{len(ops)} chain counts for {len(counts)} classes")
+    masses = list(map(mul, counts, ops))
     total = spec.total_outcomes
-    mass = sum(count * op for count, op in zip(counts, ops, strict=True))
+    mass = sum(masses)
     if mass != total:
         raise ValueError(f"class counts sum to {mass}, not {total} outcomes")
-    return counts, ops, total
+    return counts, ops, total, masses
 
 
 def tv_distance(spec: ShuffleSpec) -> Fraction:
-    """Total variation distance to uniform, exactly:
-    half the count-weighted sum of |class probability - 1/n!|,
-    summed over the common denominator T n!."""
-    counts, ops, total = _integer_law(spec)
+    """Total variation distance to uniform, exactly: the mass above 1/n!
+    of the classes more likely than uniform.  Over those classes, with D
+    the sum of their masses count_k ops_k and C the sum of count_k, it is
+    (n! D - T C) / (T n!).  ops_k / T > 1/n! exactly when ops_k exceeds
+    T // n!, so no class is multiplied by n!."""
+    counts, ops, total, masses = _integer_law(spec)
     nfact = math.factorial(spec.n)
-    excess = sum(count * abs(op * nfact - total) for count, op in zip(counts, ops))
-    return Fraction(excess, 2 * total * nfact)
+    uniform = total // nfact
+    above = [op > uniform for op in ops]
+    mass = sum(itertools.compress(masses, above))
+    size = sum(itertools.compress(counts, above))
+    return Fraction(nfact * mass - total * size, total * nfact)
 
 
 def sep_distance(spec: ShuffleSpec) -> Fraction:
     """Separation distance; by monotonicity it is attained at the
     statistic extremes k = 0 or k = k_max."""
-    _, ops, total = _integer_law(spec)
+    _, ops, total, _ = _integer_law(spec)
     low = min(ops[0], ops[-1])
     return Fraction(total - math.factorial(spec.n) * low, total)
 
 
 def linf_distance(spec: ShuffleSpec) -> Fraction:
     """l-infinity distance max |n! prob - 1|, again from the extremes."""
-    _, ops, total = _integer_law(spec)
+    _, ops, total, _ = _integer_law(spec)
     nfact = math.factorial(spec.n)
     return Fraction(max(abs(nfact * op - total) for op in (ops[0], ops[-1])), total)
 
@@ -272,7 +289,7 @@ def cycle_distribution(spec: ShuffleSpec) -> dict[tuple[int, ...], Fraction]:
     counts = sorted(cycle_count_series(spec.n, spec.m).items())
     total = spec.total_outcomes
     if sum(c for _, c in counts) != total:
-        raise AssertionError("cycle-type masses do not sum to 1")
+        raise ValueError("cycle-type masses do not sum to 1")
     return {part: Fraction(c, total) for part, c in counts}
 
 

@@ -207,7 +207,7 @@ def exact_distribution(spec: ShuffleSpec) -> ExactDist:
     integer law (ValueError unless it sums to one)."""
     from .analysis import _integer_law
 
-    counts, ops, total = _integer_law(spec)
+    counts, ops, total, _ = _integer_law(spec)
     rows = tuple(
         (k, Fraction(op, total), count) for k, (op, count) in enumerate(zip(ops, counts))
     )

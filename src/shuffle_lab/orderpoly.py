@@ -66,7 +66,8 @@ def statistic_range(kind: str, n: int) -> range:
 
 
 def op_lazy(n: int, k: int, m: int) -> int:
-    """Bounded chain partitions over the full alphabet, k = lpk.
+    """Bounded chain partitions over the full alphabet, k = lpk.  The
+    terms with a > m vanish, so the sum stops at min(n - k, m).
 
     >>> op_lazy(2, 0, 1), op_lazy(2, 1, 1)
     (5, 4)
@@ -76,12 +77,14 @@ def op_lazy(n: int, k: int, m: int) -> int:
     if k not in statistic_range("lpk", n):
         return 0
     return 4**k * sum(
-        comb(n + m - a, n) * comb(n - 2 * k, a - k) for a in range(k, n - k + 1)
+        comb(n + m - a, n) * comb(n - 2 * k, a - k)
+        for a in range(k, min(n - k, m) + 1)
     )
 
 
 def op_star(n: int, k: int, m: int) -> int:
-    """Bounded chain partitions avoiding 0, k = pk."""
+    """Bounded chain partitions avoiding 0, k = pk.  The terms with
+    a >= m vanish, so the sum stops at min(n - k, m) - 1."""
     if m < 0:
         raise ValueError("m must be nonnegative")
     if k not in statistic_range("pk", n):
@@ -89,7 +92,8 @@ def op_star(n: int, k: int, m: int) -> int:
     if n == 0:
         return 1  # the empty map
     return 2 * 4**k * sum(
-        comb(n - 1 + m - a, n) * comb(n - 1 - 2 * k, a - k) for a in range(k, n - k)
+        comb(n - 1 + m - a, n) * comb(n - 1 - 2 * k, a - k)
+        for a in range(k, min(n - k, m))
     )
 
 
@@ -128,16 +132,55 @@ def _comb_row(top: int, n: int, length: int) -> list[int]:
     return row
 
 
-def op_vector(n: int, m: int, mode: str) -> list[int]:
-    """op_chain(n, k, m, mode) for every k in the mode's statistic range,
-    built in one pass (n >= 1).
+# P0(k), P1(k), P2(k) of the class-vector recurrence
+# P0 op(k) + P1 op(k + 1) + P2 op(k + 2) = 0 (see op_vector)
+_RECURRENCE = {
+    "all": lambda n, m, k: (
+        4 * (k - m) * (k + m + 1),
+        4 * m * m + 4 * m + 4 * n + 4 * k * n - 14 * k - 8 * k * k - 6,
+        (n - 2 * k - 2) * (n - 2 * k - 3),
+    ),
+    "nonzero": lambda n, m, k: (
+        4 * (k + 1 - m) * (k + 1 + m),
+        4 * m * m + 6 * n + 4 * k * n - 22 * k - 8 * k * k - 16,
+        (n - 2 * k - 3) * (n - 2 * k - 4),
+    ),
+}
 
-    The closed forms share the row R[a] = C(top - a, n), with top = n + m
-    for "all" and n - 1 + m otherwise.  "positive" is R[k].  The other
-    modes need T_d(a) = sum_j C(d, j) R[a + j] at a = k, d = D - 2k
-    (D = n for "all", n - 1 for "nonzero"); Pascal's rule
-    T_d(a) = T_(d-1)(a) + T_(d-1)(a + 1) walks d up from T_0 = R, so every
-    class comes from the one row without a binomial per class.
+
+def op_vector(n: int, m: int, mode: str) -> list[int]:
+    """op_chain(n, k, m, mode) for every k in the mode's statistic range
+    (n >= 1).
+
+    "positive" is the row C(n - 1 + m - k, n), stepped down from k = 0.
+
+    "all" and "nonzero" step down a three-term recurrence in k,
+
+        P0(k) op(k) + P1(k) op(k + 1) + P2(k) op(k + 2) = 0,
+
+    with coefficients quadratic in k, n and m (``_RECURRENCE``).  Over m
+    the "all" chain counts have generating function (see gf_coefficients)
+
+        (4t)^k (1+t)^(n-2k) / (1-t)^(n+1)
+            = (1+t)^n / (1-t)^(n+1) * (4t / (1+t)^2)^k,
+
+    and the "nonzero" ones 2t (1+t)^(n-1) / (1-t)^(n+1) times the same
+    k-th power: every class shares one series up to that factor.  So
+    op(k) is a sum over a of a term hypergeometric in k and a, such as
+    4^k C(n - 2k, a - k) C(n + m - a, n) for "all", and creative
+    telescoping (Zeilberger's algorithm; Petkovsek, Wilf and Zeilberger,
+    "A = B", 1996) gives a recurrence in k with polynomial coefficients.
+    The coefficients above were fitted to the closed forms and are tested
+    equal to them over a wide range of n and m (tests/test_orderpoly.py);
+    that is evidence, not a proof, and no telescoping certificate has been
+    checked (a search for one with sympy's Gosper algorithm did not finish
+    in ten minutes).
+
+    Classes above top = min(m, n // 2) ("all") or min(m - 1, (n - 1) // 2)
+    ("nonzero") are 0, since their closed-form sums are empty.  op(top) and
+    op(top - 1) come from op_chain, and P0 is nonzero below top, so each
+    step down is one exact division by P0.  A remainder means the
+    recurrence does not hold and raises ArithmeticError.
 
     >>> op_vector(4, 2, "all")
     [41, 28, 16]
@@ -148,17 +191,25 @@ def op_vector(n: int, m: int, mode: str) -> list[int]:
         raise ValueError("n must be positive")
     if m < 0:
         raise ValueError("m must be nonnegative")
-    kind = mode_statistic(mode)
+    length = len(statistic_range(mode_statistic(mode), n))
     if mode == "positive":
-        return _comb_row(n - 1 + m, n, len(statistic_range(kind, n)))
-    top, deg, scale = (n + m, n, 1) if mode == "all" else (n - 1 + m, n - 1, 2)
-    row = _comb_row(top, n, deg + 1)
-    out = [0] * (deg // 2 + 1)
-    for d in range(deg + 1):
-        if (deg - d) % 2 == 0:
-            k = (deg - d) // 2
-            out[k] = scale * row[k] << 2 * k
-        row = [x + y for x, y in zip(row, row[1:])]
+        return _comb_row(n - 1 + m, n, length)
+    top = min(m, length - 1) if mode == "all" else min(m - 1, length - 1)
+    out = [0] * length
+    if top < 0:
+        return out
+    out[top] = op_chain(n, top, m, mode)
+    if top == 0:
+        return out
+    out[top - 1] = op_chain(n, top - 1, m, mode)
+    coefficients = _RECURRENCE[mode]
+    for k in range(top - 2, -1, -1):
+        p0, p1, p2 = coefficients(n, m, k)
+        out[k], remainder = divmod(-(p1 * out[k + 1] + p2 * out[k + 2]), p0)
+        if remainder:
+            raise ArithmeticError(
+                f"class-vector recurrence is inexact at n={n}, m={m}, k={k} ({mode})"
+            )
     return out
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import total_ordering
 
 from shuffle_lab import models
-from shuffle_lab.analysis import count_table, f_im
+from shuffle_lab.analysis import f_im
 from shuffle_lab.models import ConvolutionReport, ExactDist, ShuffleSpec, convolve
 from shuffle_lab.orderpoly import (
     DecompositionReport,
@@ -143,12 +143,65 @@ def brute_statistic_counts(n: int, kind: str) -> tuple[int, ...]:
     return tuple(counts[k] for k in range(max(counts) + 1))
 
 
+def recurrence_count_rows(kind: str):
+    """Statistic class sizes for n = 1, 2, ... in turn, by the two-term
+    recurrences on n, one entry at a time over the whole row:
+
+    lpk: l(n,k) = (2k+1)   l(n-1,k) + (n+1-2k) l(n-1,k-1)
+    pk:  p(n,k) = (2k+2)   p(n-1,k) + (n-2k)   p(n-1,k-1)
+    des: A(n,k) = (k+1)    A(n-1,k) + (n-k)    A(n-1,k-1)
+    """
+    coefficients = {
+        "lpk": lambda nn, k: (2 * k + 1, nn + 1 - 2 * k),
+        "pk": lambda nn, k: (2 * k + 2, nn - 2 * k),
+        "des": lambda nn, k: (k + 1, nn - k),
+    }[kind]
+    row = [1]
+    yield tuple(row)
+    for nn in itertools.count(2):
+        prev = row + [0, 0]
+        row = []
+        for k in statistic_range(kind, nn):
+            stay, carry = coefficients(nn, k)
+            below = prev[k - 1] if k >= 1 else 0
+            row.append(stay * prev[k] + carry * below)
+        yield tuple(row)
+
+
+def recurrence_count_table(n: int, kind: str) -> tuple[int, ...]:
+    """Row n of recurrence_count_rows."""
+    return next(itertools.islice(recurrence_count_rows(kind), n - 1, None))
+
+
+def pascal_op_vector(n: int, m: int, mode: str) -> list[int]:
+    """op_chain(n, k, m, mode) for every class k, by a Pascal walk over the
+    row R[a] = C(top - a, n), top = n + m ("all") or n - 1 + m.
+
+    "positive" is R[k].  The other modes need T_d(a) = sum_j C(d, j)
+    R[a + j] at a = k, d = D - 2k (D = n for "all", n - 1 for
+    "nonzero"); Pascal's rule T_d(a) = T_(d-1)(a) + T_(d-1)(a + 1) walks d
+    up from T_0 = R, so every class comes from the one row.
+    """
+    length = len(statistic_range(mode_statistic(mode), n))
+    if mode == "positive":
+        return [math.comb(n - 1 + m - a, n) for a in range(length)]
+    top, deg, scale = (n + m, n, 1) if mode == "all" else (n - 1 + m, n - 1, 2)
+    row = [math.comb(top - a, n) for a in range(deg + 1)]
+    out = [0] * length
+    for d in range(deg + 1):
+        if (deg - d) % 2 == 0:
+            k = (deg - d) // 2
+            out[k] = scale * row[k] << 2 * k
+        row = [x + y for x, y in zip(row, row[1:])]
+    return out
+
+
 def fraction_distances(spec: ShuffleSpec) -> tuple[Fraction, Fraction, Fraction]:
     """(tv, sep, linf) the slow way: one op_chain call and one Fraction per
     statistic class, tv as half the count-weighted sum of
     |class probability - 1/n!|, sep and linf from the extreme classes."""
     n, total = spec.n, spec.total_outcomes
-    counts = count_table(n, spec.statistic_kind)
+    counts = recurrence_count_table(n, spec.statistic_kind)
     classes = [
         (Fraction(op_chain(n, k, spec.m, spec.mode), total), counts[k])
         for k in statistic_range(spec.statistic_kind, n)

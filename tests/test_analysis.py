@@ -30,6 +30,7 @@ from .oracles import (
     brute_statistic_counts,
     fraction_distances,
     pow_product_cycle_series,
+    recurrence_count_rows,
 )
 
 
@@ -49,6 +50,13 @@ def test_count_tables_match_brute_force():
     for n in range(1, 10):
         for kind in ("lpk", "pk", "des"):
             assert count_table(n, kind) == brute_statistic_counts(n, kind)
+
+
+@pytest.mark.parametrize("kind", ["lpk", "pk", "des"])
+def test_count_table_equals_row_recurrence(kind):
+    # the uncached body, so the test leaves no 300 tables in the cache
+    for n, row in zip(range(1, 301), recurrence_count_rows(kind)):
+        assert count_table.__wrapped__(n, kind) == row, n
 
 
 def test_count_table_totals_and_boundaries():
@@ -96,6 +104,18 @@ def test_distances_equal_fraction_per_class_formula():
             spec = ShuffleSpec(n, m, model)
             got = (tv_distance(spec), sep_distance(spec), linf_distance(spec))
             assert got == fraction_distances(spec), (model, n, m)
+
+
+@pytest.mark.parametrize(
+    "model, n",
+    [(model, n) for n in (100, 200) for model in MODELS]
+    + [("shelf-lazy", 500), ("shelf-strict", 500)],
+)
+def test_distances_equal_fraction_distances_at_large_n(model, n):
+    for m in (3, round(n**1.5)) if n < 500 else (round(n**1.5),):
+        spec = ShuffleSpec(n, m, model)
+        got = (tv_distance(spec), sep_distance(spec), linf_distance(spec))
+        assert got == fraction_distances(spec), (model, n, m)
 
 
 @pytest.mark.parametrize(
@@ -249,7 +269,7 @@ def test_cycle_distribution_rejects_a_corrupted_series(monkeypatch):
         return series
 
     monkeypatch.setattr(analysis, "cycle_count_series", bumped)
-    with pytest.raises(AssertionError, match="do not sum to 1"):
+    with pytest.raises(ValueError, match="do not sum to 1"):
         cycle_distribution(ShuffleSpec(4, 1, "shelf-lazy"))
 
 

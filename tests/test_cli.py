@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import shuffle_lab
-from shuffle_lab import models
+from shuffle_lab import analysis, models
 from shuffle_lab.analysis import tv_distance
 from shuffle_lab.cli import format_fixed, main
 from shuffle_lab.models import ShuffleSpec
@@ -229,6 +229,20 @@ def test_cycles_probabilities_sum_to_one(capsys):
     code, out, _ = run(capsys, "cycles", "--n", "3", "--m", "1", "--format", "json")
     payload = json.loads(out)
     assert payload["n"] == 3 and payload["types"][0]["type"] == [1, 1, 1]
+
+
+def test_cycles_corrupted_series_is_usage_error(capsys, monkeypatch):
+    honest = analysis.cycle_count_series
+
+    def bumped(n, m):
+        series = honest(n, m)
+        series[(n,)] += 1
+        return series
+
+    monkeypatch.setattr(analysis, "cycle_count_series", bumped)
+    code, out, err = run(capsys, "cycles", "--n", "4", "--m", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "do not sum to 1" in err
 
 
 def test_fixed_points_formats(capsys):

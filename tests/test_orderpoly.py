@@ -8,6 +8,8 @@ from math import comb
 import pytest
 
 from shuffle_lab import orderpoly
+from shuffle_lab.analysis import tv_distance
+from shuffle_lab.models import ShuffleSpec
 from shuffle_lab.orderpoly import (
     EXHAUSTIVE_CAP,
     check_monotonicity,
@@ -29,7 +31,7 @@ from shuffle_lab.permutations import all_permutations, compose, statistic
 from shuffle_lab.posets import Poset, all_posets
 from shuffle_lab.ppartitions import MODES, enumerate_bounded
 
-from .oracles import brute_statistic_counts, product_loop_decomposition
+from .oracles import brute_statistic_counts, pascal_op_vector, product_loop_decomposition
 
 
 def test_mode_statistic():
@@ -102,13 +104,56 @@ def test_op_vector_equals_per_class_op_chain():
             assert op_vector(n, m, mode) == [op_chain(n, k, m, mode) for k in ks], (n, m, mode)
 
 
-@pytest.mark.parametrize("n", [200, 500])
+def _top_class(n: int, m: int, mode: str) -> int:
+    """The largest class with a nonzero chain count (-1 if none)."""
+    return min(m - (mode != "all"), len(statistic_range(mode_statistic(mode), n)) - 1)
+
+
+def test_op_vector_equals_pascal_walk():
+    """m covers top = m (m <= 3), top = the last class (m >= n // 2),
+    both sides of it, and m = 0 (a zero "nonzero" vector)."""
+    for n in range(1, 201):
+        half = n // 2
+        for m, mode in itertools.product(
+            {0, 1, 2, 3, max(half - 1, 0), half, n, round(n**1.5), 3 * n * n}, MODES
+        ):
+            assert op_vector(n, m, mode) == pascal_op_vector(n, m, mode), (n, m, mode)
+
+
+@pytest.mark.parametrize("n", [200, 500, 1000, 2000])
 def test_op_vector_large_n_classes(n):
     for m, mode in itertools.product((0, 3, round(n**1.5)), MODES):
         vector = op_vector(n, m, mode)
         assert len(vector) == len(statistic_range(mode_statistic(mode), n))
-        for k in (0, 1, len(vector) - 1):
+        top = _top_class(n, m, mode)
+        assert not any(vector[top + 1 :]), (n, m, mode)
+        for k in {c for c in (0, 1, top - 1, top, len(vector) - 1) if c >= 0}:
             assert vector[k] == op_chain(n, k, m, mode), (n, m, mode, k)
+
+
+def test_op_vector_recurrence_negative_control(monkeypatch):
+    """With P1 off by one, each vector either leaves a remainder in some
+    step down or fails the normalisation check of the law it feeds."""
+    specs = [
+        ShuffleSpec(n, m, model)
+        for n, m in ((8, 3), (52, 10), (200, 2828))
+        for model in ("shelf-lazy", "shelf-standard")
+    ]
+    for spec in specs:
+        tv_distance(spec)  # the honest recurrence passes
+    honest = dict(orderpoly._RECURRENCE)
+
+    def off_by_one(mode):
+        def coefficients(n, m, k):
+            p0, p1, p2 = honest[mode](n, m, k)
+            return p0, p1 + 1, p2
+
+        return coefficients
+
+    monkeypatch.setattr(orderpoly, "_RECURRENCE", {mode: off_by_one(mode) for mode in honest})
+    for spec in specs:
+        with pytest.raises((ArithmeticError, ValueError)):
+            tv_distance(spec)
 
 
 def test_op_vector_guardrails():
