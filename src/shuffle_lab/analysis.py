@@ -117,8 +117,11 @@ def tv_distance(spec: ShuffleSpec) -> Fraction:
     the sum of their masses count_k ops_k and C the sum of count_k, it is
     (n! D - T C) / (T n!).  ops_k / T > 1/n! exactly when ops_k exceeds
     T // n!, so no class is multiplied by n!."""
-    counts, ops, total, masses = _integer_law(spec)
-    nfact = math.factorial(spec.n)
+    return _tv(spec.n, *_integer_law(spec))
+
+
+def _tv(n, counts, ops, total, masses) -> Fraction:
+    nfact = math.factorial(n)
     uniform = total // nfact
     above = [op > uniform for op in ops]
     mass = sum(itertools.compress(masses, above))
@@ -129,15 +132,20 @@ def tv_distance(spec: ShuffleSpec) -> Fraction:
 def sep_distance(spec: ShuffleSpec) -> Fraction:
     """Separation distance; by monotonicity it is attained at the
     statistic extremes k = 0 or k = k_max."""
-    _, ops, total, _ = _integer_law(spec)
-    low = min(ops[0], ops[-1])
-    return Fraction(total - math.factorial(spec.n) * low, total)
+    return _sep(spec.n, *_integer_law(spec))
+
+
+def _sep(n, counts, ops, total, masses) -> Fraction:
+    return Fraction(total - math.factorial(n) * min(ops[0], ops[-1]), total)
 
 
 def linf_distance(spec: ShuffleSpec) -> Fraction:
     """l-infinity distance max |n! prob - 1|, again from the extremes."""
-    _, ops, total, _ = _integer_law(spec)
-    nfact = math.factorial(spec.n)
+    return _linf(spec.n, *_integer_law(spec))
+
+
+def _linf(n, counts, ops, total, masses) -> Fraction:
+    nfact = math.factorial(n)
     return Fraction(max(abs(nfact * op - total) for op in (ops[0], ops[-1])), total)
 
 
@@ -177,17 +185,9 @@ def asymptotic_compare(n: int, c: float) -> AsymptoticReport:
     if not c > 0:
         raise ValueError(f"c must be positive, got {c!r}")
     m = round(c * n**1.5)
-    spec = ShuffleSpec(n, m, "shelf-lazy")
-    return AsymptoticReport(
-        n,
-        c,
-        m,
-        tv_distance(spec),
-        sep_distance(spec),
-        linf_distance(spec),
-        1 - math.exp(-1 / (24 * c * c)),
-        math.exp(1 / (12 * c * c)) - 1,
-    )
+    law = _integer_law(ShuffleSpec(n, m, "shelf-lazy"))  # built and checked once
+    limits = 1 - math.exp(-1 / (24 * c * c)), math.exp(1 / (12 * c * c)) - 1
+    return AsymptoticReport(n, c, m, _tv(n, *law), _sep(n, *law), _linf(n, *law), *limits)
 
 
 # ---------------------------------------------------------------------------

@@ -131,43 +131,43 @@ def simulate_shelf(spec: ShuffleSpec, rng) -> tuple[pp.ShuffleOutcome, Perm]:
     """One machine pass: draw a uniform placement per card, return the
     (composition, deck order) outcome and the deck order.
 
-    ``rng`` needs only randrange(k); random.Random works.
+    Each card joins the bucket of its draw; the buckets read in value
+    order, barred (odd-rank) ones reversed, give pp.sorting_permutation of
+    the drawn map as a counting sort.  ``rng`` needs only randrange(k).
     """
     _require(spec, riffle=False)
     values = pp.alphabet(spec.m, spec.mode)
     width, randrange = len(values), rng.randrange
-    draws = [randrange(width) for _ in range(spec.n)]
-    counts = [0] * width
-    for d in draws:
-        counts[d] += 1
-    perm = pp.sorting_permutation(tuple(values[d] for d in draws))
-    return pp.ShuffleOutcome(tuple(counts), perm), perm
-
-
-def _riffle_cut(spec: ShuffleSpec, rng) -> list[int]:
-    # multinomial cut = n independent uniform pile choices
-    piles = spec.choices_per_card
-    sizes = [0] * piles
-    for _ in range(spec.n):
-        sizes[rng.randrange(piles)] += 1
-    return sizes
+    buckets = [[] for _ in values]
+    for card in range(1, spec.n + 1):
+        buckets[randrange(width)].append(card)
+    order = []
+    for v, bucket in zip(values, buckets):
+        if bucket:  # most are empty when the alphabet is wide and n small
+            order += reversed(bucket) if v & 1 else bucket
+    deck = tuple(order)
+    return pp.ShuffleOutcome(tuple(map(len, buckets)), deck), deck
 
 
 def simulate_riffle(spec: ShuffleSpec, rng) -> tuple[pp.ShuffleOutcome, Perm]:
-    """One riffle pass via proportional drops from pile bottoms."""
+    """One riffle pass via proportional drops from pile bottoms.  The
+    sorted cut (n uniform pile choices) is the owner list, the pile of each
+    card still held in pile order: a uniform index into it picks a pile in
+    proportion to its size, and popping the index keeps the list true."""
     _require(spec, riffle=True)
-    sizes = _riffle_cut(spec, rng)
-    piles = pp.cut_piles(pp.alphabet(spec.m, spec.mode), sizes)
-    bottom_up: list[int] = []
-    for total in range(spec.n, 0, -1):  # cards left in the piles
-        r = rng.randrange(total)
-        for pile in piles:
-            if r < len(pile):
-                break
-            r -= len(pile)
-        bottom_up.append(pile.pop())
+    values = pp.alphabet(spec.m, spec.mode)
+    width, randrange = len(values), rng.randrange
+    owner = sorted([randrange(width) for _ in range(spec.n)])
+    piles = [[] for _ in values]  # as pp.cut_piles: top to bottom, barred ones flipped
+    for card, j in enumerate(owner, 1):
+        piles[j].append(card)
+    for v, pile in zip(values, piles):
+        if v & 1 and pile:
+            pile.reverse()
+    sizes = tuple(map(len, piles))
+    bottom_up = [piles[owner.pop(randrange(total))].pop() for total in range(spec.n, 0, -1)]
     deck = tuple(reversed(bottom_up))
-    return pp.ShuffleOutcome(tuple(sizes), deck), deck
+    return pp.ShuffleOutcome(sizes, deck), deck
 
 
 def exact_prob(p: Perm, spec: ShuffleSpec) -> Fraction:

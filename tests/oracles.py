@@ -5,7 +5,8 @@ The oracles recompute quantities from raw definitions or by the slow
 routes the library replaced: order preservation is checked over the full
 relation (not just covering pairs), statistics are counted by scanning
 windows, bounded-partition sets come from filtering the complete
-value-tuple product, and products in S_n are taken one pair at a time.
+value-tuple product, products in S_n are taken one pair at a time, and
+the reference samplers sort the placement map and scan the pile sizes.
 
 The library stores a barred value as its integer rank.  The P-partition
 oracles work on BarredInt values instead (magnitude and bar), so they do
@@ -23,6 +24,7 @@ from fractions import Fraction
 from functools import total_ordering
 
 from shuffle_lab import models
+from shuffle_lab import ppartitions as pp
 from shuffle_lab.analysis import f_im
 from shuffle_lab.models import ConvolutionReport, ExactDist, ShuffleSpec, convolve
 from shuffle_lab.orderpoly import (
@@ -373,13 +375,55 @@ def by_label_enumerate(poset: Poset, m: int, mode: str) -> list[tuple[BarredInt,
     return out
 
 
+def simulate_shelf_by_sort(spec: ShuffleSpec, rng) -> tuple[ShuffleOutcome, Perm]:
+    """Reference shelf sampler, the placement map's sorting permutation:
+    the same randrange calls as models.simulate_shelf, so the same seed
+    gives the same outcome and deck."""
+    models._require(spec, riffle=False)
+    values = pp.alphabet(spec.m, spec.mode)
+    width, randrange = len(values), rng.randrange
+    draws = [randrange(width) for _ in range(spec.n)]
+    counts = [0] * width
+    for d in draws:
+        counts[d] += 1
+    perm = pp.sorting_permutation(tuple(values[d] for d in draws))
+    return pp.ShuffleOutcome(tuple(counts), perm), perm
+
+
+def _riffle_cut(spec: ShuffleSpec, rng) -> list[int]:
+    # multinomial cut = n independent uniform pile choices
+    piles = spec.choices_per_card
+    sizes = [0] * piles
+    for _ in range(spec.n):
+        sizes[rng.randrange(piles)] += 1
+    return sizes
+
+
+def simulate_riffle_by_scan(spec: ShuffleSpec, rng) -> tuple[ShuffleOutcome, Perm]:
+    """Reference riffle sampler, each drop found by a scan over the pile
+    sizes: the same randrange calls as models.simulate_riffle."""
+    models._require(spec, riffle=True)
+    sizes = _riffle_cut(spec, rng)
+    piles = pp.cut_piles(pp.alphabet(spec.m, spec.mode), sizes)
+    bottom_up: list[int] = []
+    for total in range(spec.n, 0, -1):  # cards left in the piles
+        r = rng.randrange(total)
+        for pile in piles:
+            if r < len(pile):
+                break
+            r -= len(pile)
+        bottom_up.append(pile.pop())
+    deck = tuple(reversed(bottom_up))
+    return pp.ShuffleOutcome(tuple(sizes), deck), deck
+
+
 def simulate_riffle_uniform(spec: ShuffleSpec, rng) -> tuple[ShuffleOutcome, Perm]:
-    """Cross-check riffle sampler: the same cut as models.simulate_riffle,
+    """Cross-check riffle sampler: the same cut as simulate_riffle_by_scan,
     then a uniformly random interleaving by Fisher-Yates instead of
     proportional drops (the two induce the same law)."""
     if not spec.riffle:
         raise ValueError(f"model {spec.model!r} is not a riffle")
-    sizes = models._riffle_cut(spec, rng)
+    sizes = _riffle_cut(spec, rng)
     piles = cut_piles(alphabet(spec.m, spec.mode), sizes)
     word = [idx for idx, a in enumerate(sizes) for _ in range(a)]
     for i in range(len(word) - 1, 0, -1):

@@ -185,6 +185,21 @@ def test_asymptotic_compare():
             asymptotic_compare(10, c)
 
 
+@pytest.mark.parametrize("n, c", [(52, 0.5), (52, 1.0), (52, 2.0), (200, 1.0)])
+def test_asymptotic_compare_builds_one_law(n, c, monkeypatch):
+    # the three fields are the three distances, read off one checked law
+    built = []
+    law = analysis._integer_law
+    monkeypatch.setattr(analysis, "_integer_law", lambda spec: built.append(spec) or law(spec))
+    report = asymptotic_compare(n, c)
+    spec = ShuffleSpec(n, report.m, "shelf-lazy")
+    assert built == [spec]
+    monkeypatch.undo()
+    assert report.tv == tv_distance(spec)
+    assert report.sep == sep_distance(spec)
+    assert report.linf == linf_distance(spec)
+
+
 def test_f_im_values():
     for m in range(7):
         assert f_im(1, m) == m

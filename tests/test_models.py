@@ -36,7 +36,9 @@ from .oracles import (
     compose_loop_convolution,
     exact_dist_to_json_dict,
     iter_shelf_placements,
+    simulate_riffle_by_scan,
     simulate_riffle_uniform,
+    simulate_shelf_by_sort,
 )
 
 SHELF_OF_RIFFLE = dict(zip(RIFFLE_MODELS, SHELF_MODELS))
@@ -164,6 +166,30 @@ def test_simulate_shelf_scripted_worked_examples():
     assert format_permutation(perm) == "489125736"
     assert outcome.composition == (2, 2, 2, 2, 1)
     assert rng.exhausted()
+
+
+# draws per model at each deck size in the reference comparison, spread
+# evenly over its m values (at least 200 per m at n = 52 and 1000)
+REFERENCE_DRAWS = {1: 2_000, 2: 2_000, 6: 50_000, 52: 800, 1000: 800}
+
+
+@pytest.mark.parametrize("n", sorted(REFERENCE_DRAWS))
+@pytest.mark.parametrize("model", MODELS)
+def test_samplers_equal_reference_samplers(model, n):
+    # the bucket and owner-list samplers make the reference samplers'
+    # randrange calls in the same order, so one seed gives the same
+    # outcome and deck, draw for draw, and leaves the rng in one state
+    riffle = MODELS[model].riffle
+    sampler = simulate_riffle if riffle else simulate_shelf
+    reference = simulate_riffle_by_scan if riffle else simulate_shelf_by_sort
+    # m = 0 leaves a value only in the full alphabet
+    ms = [m for m in (0, 1, 2, 10) if pp.alphabet_size(m, MODELS[model].mode)]
+    for m in ms:
+        spec = ShuffleSpec(n, m, model)
+        fast, slow = random.Random(100 * n + m), random.Random(100 * n + m)
+        for _ in range(REFERENCE_DRAWS[n] // len(ms)):
+            assert sampler(spec, fast) == reference(spec, slow), spec
+        assert fast.getstate() == slow.getstate(), spec
 
 
 def test_simulate_shelf_outcome_is_consistent():
