@@ -26,12 +26,11 @@ from functools import lru_cache
 from operator import mul
 
 from .models import ShuffleSpec
-from .orderpoly import gf_coefficients, op_vector, statistic_range
+from .orderpoly import IdentityReport, gf_coefficients, op_vector, statistic_range
 from .permutations import all_permutations, cycle_type_partition, left_peaks
 
 __all__ = [
     "AsymptoticReport",
-    "JointIdentityReport",
     "SERIES_CAP",
     "asymptotic_compare",
     "count_table",
@@ -309,37 +308,7 @@ def expected_fixed_points(n: int, m: int) -> Fraction:
     return 1 + 2 * sum((q ** (2 * k) for k in range(1, n // 2)), Fraction(0)) + q**n
 
 
-@dataclass(frozen=True)
-class JointIdentityReport:
-    """Comparison of the two routes to the joint (left peaks, cycle type)
-    refinement: per-permutation statistic kernels vs the product series."""
-
-    n: int
-    m_max: int
-    ok: bool
-    checked_types: int
-    first_mismatch: tuple[int, tuple[int, ...], int, int] | None = None
-
-    def to_dict(self) -> dict:
-        d = {
-            "identity": "joint-lpk-cycle",
-            "n": self.n,
-            "m_max": self.m_max,
-            "ok": self.ok,
-            "checked_types": self.checked_types,
-        }
-        if self.first_mismatch is not None:
-            m, part, lhs, rhs = self.first_mismatch
-            d["first_mismatch"] = {
-                "m": m,
-                "type": list(part),
-                "lhs": str(lhs),
-                "rhs": str(rhs),
-            }
-        return d
-
-
-def verify_joint_lpk_cycle(n: int, m_max: int) -> JointIdentityReport:
+def verify_joint_lpk_cycle(n: int, m_max: int) -> IdentityReport:
     """For each m <= m_max, group S_n by cycle type, total the left-peak
     generating kernel's t^m coefficient over each group, and compare with
     the degree-n coefficients of the product series.  Exact equality
@@ -355,14 +324,15 @@ def verify_joint_lpk_cycle(n: int, m_max: int) -> JointIdentityReport:
     by_type: dict[tuple[int, ...], list[int]] = {}
     for p in all_permutations(n):
         by_type.setdefault(cycle_type_partition(p), []).append(left_peaks(p))
+    params = {"n": n, "m_max": m_max}
     checked = 0
     for m in range(1, m_max + 1):
-        rhs = cycle_count_series(n, m)
-        for part in sorted(set(by_type) | set(rhs)):
+        series = cycle_count_series(n, m)
+        for part in sorted(set(by_type) | set(series)):
             lhs = sum(per_k[k][m] for k in by_type.get(part, []))
+            rhs = series.get(part, 0)
             checked += 1
-            if lhs != rhs.get(part, 0):
-                return JointIdentityReport(
-                    n, m_max, False, checked, (m, part, lhs, rhs.get(part, 0))
-                )
-    return JointIdentityReport(n, m_max, True, checked)
+            if lhs != rhs:
+                mismatch = {"m": m, "type": list(part), "lhs": str(lhs), "rhs": str(rhs)}
+                return IdentityReport("joint-lpk-cycle", params, False, checked, mismatch)
+    return IdentityReport("joint-lpk-cycle", params, True, checked)

@@ -27,6 +27,7 @@ from fractions import Fraction
 
 from . import ppartitions as pp
 from .orderpoly import (
+    IdentityReport,
     _factorization_sums,
     convolved_bound,
     mode_statistic,
@@ -35,7 +36,6 @@ from .orderpoly import (
 from .permutations import Perm, check_permutation, inverse, statistic
 
 __all__ = [
-    "ConvolutionReport",
     "ExactDist",
     "MODELS",
     "Model",
@@ -230,33 +230,7 @@ def convolve(spec1: ShuffleSpec, spec2: ShuffleSpec) -> ShuffleSpec:
     )
 
 
-@dataclass(frozen=True)
-class ConvolutionReport:
-    """Result of the exact distribution-level convolution check."""
-
-    n: int
-    k: int
-    l: int
-    model: str
-    ok: bool
-    first_mismatch: tuple[Perm, Fraction, Fraction] | None = None
-
-    def to_dict(self) -> dict:
-        d = {
-            "identity": "group-algebra-convolution",
-            "n": self.n,
-            "k": self.k,
-            "l": self.l,
-            "model": self.model,
-            "ok": self.ok,
-        }
-        if self.first_mismatch is not None:
-            p, lhs, rhs = self.first_mismatch
-            d["first_mismatch"] = {"pi": list(p), "lhs": str(lhs), "rhs": str(rhs)}
-        return d
-
-
-def group_algebra_product_check(n: int, k: int, l: int, model: str) -> ConvolutionReport:
+def group_algebra_product_check(n: int, k: int, l: int, model: str) -> IdentityReport:
     """Convolve the exact n!-point laws of two passes (parameters k then l)
     and compare with the single convolved pass, exactly.
 
@@ -273,10 +247,12 @@ def group_algebra_product_check(n: int, k: int, l: int, model: str) -> Convoluti
     assert a.total_outcomes * b.total_outcomes == c.total_outcomes
     first, second = (l, k) if a.riffle else (k, l)
     sums, entries = _factorization_sums(n, first, second, a.mode)
+    params = {"n": n, "k": k, "l": l, "model": model}
     row_of = {p: row for p, _, row in entries}
-    for p in row_of:
+    for checked, p in enumerate(row_of, start=1):
         lhs = Fraction(sums[row_of[inverse(p) if a.riffle else p]], c.total_outcomes)
         rhs = exact_prob(p, c)
         if lhs != rhs:
-            return ConvolutionReport(n, k, l, model, False, (p, lhs, rhs))
-    return ConvolutionReport(n, k, l, model, True)
+            mismatch = {"pi": list(p), "lhs": str(lhs), "rhs": str(rhs)}
+            return IdentityReport("group-algebra-convolution", params, False, checked, mismatch)
+    return IdentityReport("group-algebra-convolution", params, True, len(row_of))

@@ -1,7 +1,8 @@
 """Closed-form counts of bounded chain partitions ("order polynomials"),
 and exhaustive verification of the identities the shuffle analysis rests
 on: two-pass decomposition, monotonicity in the statistic, and the
-linear-extension sum for general posets.
+symmetry of the class-product tables.  Every check returns an
+IdentityReport.
 
 Everything is exact integer arithmetic.  For a chain labeled by a
 permutation, the count depends only on (n, statistic, bound m), with the
@@ -16,21 +17,20 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from operator import itemgetter, mul
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .permutations import Perm, all_permutations, statistic
 from .posets import Poset
-from .ppartitions import MODES, lookup_mode
+from .ppartitions import lookup_mode
 
 __all__ = [
-    "DecompositionReport",
-    "MonotonicityReport",
+    "IdentityReport",
+    "check_class_symmetry",
     "check_monotonicity",
-    "composition_convention_check",
     "convolved_bound",
     "gf_coefficients",
     "mode_statistic",
@@ -123,15 +123,6 @@ def op_chain(n: int, k: int, m: int, mode: str) -> int:
     raise ValueError(f"unknown mode: {mode!r}")
 
 
-def _comb_row(top: int, n: int, length: int) -> list[int]:
-    """[C(top, n), C(top - 1, n), ...], length entries, stepped by
-    C(N - 1, n) = C(N, n) (N - n) / N (exact; callers keep N >= 1)."""
-    row = [comb(top, n)]
-    for a in range(length - 1):
-        row.append(row[-1] * (top - a - n) // (top - a))
-    return row
-
-
 # P0(k), P1(k), P2(k) of the class-vector recurrence
 # P0 op(k) + P1 op(k + 1) + P2 op(k + 2) = 0 (see op_vector)
 _RECURRENCE = {
@@ -145,21 +136,23 @@ _RECURRENCE = {
         4 * m * m + 6 * n + 4 * k * n - 22 * k - 8 * k * k - 16,
         (n - 2 * k - 3) * (n - 2 * k - 4),
     ),
+    "positive": lambda n, m, k: (m - 1 - k, -(n - 1 + m - k), 0),
 }
 
 
 def op_vector(n: int, m: int, mode: str) -> list[int]:
     """op_chain(n, k, m, mode) for every k in the mode's statistic range
-    (n >= 1).
-
-    "positive" is the row C(n - 1 + m - k, n), stepped down from k = 0.
-
-    "all" and "nonzero" step down a three-term recurrence in k,
+    (n >= 1), stepped down a three-term recurrence in k,
 
         P0(k) op(k) + P1(k) op(k + 1) + P2(k) op(k + 2) = 0,
 
-    with coefficients quadratic in k, n and m (``_RECURRENCE``).  Over m
-    the "all" chain counts have generating function (see gf_coefficients)
+    with coefficients quadratic in k, n and m, one row per mode in the
+    single table ``_RECURRENCE``.
+
+    "positive" is C(n - 1 + m - k, n), and the ratio of consecutive terms,
+    C(N, n) / C(N - 1, n) = N / (N - n) with N = n - 1 + m - k, gives its
+    row (m - 1 - k, -(n - 1 + m - k), 0).  Over m the "all" chain counts
+    have generating function (see gf_coefficients)
 
         (4t)^k (1+t)^(n-2k) / (1-t)^(n+1)
             = (1+t)^n / (1-t)^(n+1) * (4t / (1+t)^2)^k,
@@ -170,17 +163,18 @@ def op_vector(n: int, m: int, mode: str) -> list[int]:
     4^k C(n - 2k, a - k) C(n + m - a, n) for "all", and creative
     telescoping (Zeilberger's algorithm; Petkovsek, Wilf and Zeilberger,
     "A = B", 1996) gives a recurrence in k with polynomial coefficients.
-    The coefficients above were fitted to the closed forms and are tested
-    equal to them over a wide range of n and m (tests/test_orderpoly.py);
-    that is evidence, not a proof, and no telescoping certificate has been
-    checked (a search for one with sympy's Gosper algorithm did not finish
-    in ten minutes).
+    The "all" and "nonzero" coefficients were fitted to the closed forms
+    and are tested equal to them over a wide range of n and m
+    (tests/test_orderpoly.py); that is evidence, not a proof, and no
+    telescoping certificate has been checked (a search for one with
+    sympy's Gosper algorithm did not finish in ten minutes).
 
-    Classes above top = min(m, n // 2) ("all") or min(m - 1, (n - 1) // 2)
-    ("nonzero") are 0, since their closed-form sums are empty.  op(top) and
-    op(top - 1) come from op_chain, and P0 is nonzero below top, so each
-    step down is one exact division by P0.  A remainder means the
-    recurrence does not hold and raises ArithmeticError.
+    Classes above top = min(m, last class) are 0 in every mode, since
+    their closed-form sums are empty (in "nonzero" and "positive" class m
+    is 0 too).  op(top) and op(top - 1) come from op_chain, and P0 is
+    nonzero at every k <= top - 2 in every mode, so each step down is one
+    exact division by P0.  A remainder means the recurrence does not hold
+    and raises ArithmeticError.
 
     >>> op_vector(4, 2, "all")
     [41, 28, 16]
@@ -192,12 +186,8 @@ def op_vector(n: int, m: int, mode: str) -> list[int]:
     if m < 0:
         raise ValueError("m must be nonnegative")
     length = len(statistic_range(mode_statistic(mode), n))
-    if mode == "positive":
-        return _comb_row(n - 1 + m, n, length)
-    top = min(m, length - 1) if mode == "all" else min(m - 1, length - 1)
+    top = min(m, length - 1)
     out = [0] * length
-    if top < 0:
-        return out
     out[top] = op_chain(n, top, m, mode)
     if top == 0:
         return out
@@ -268,30 +258,22 @@ def convolved_bound(k: int, l: int, mode: str) -> int:
 
 
 @dataclass(frozen=True)
-class DecompositionReport:
-    """Result of an exhaustive two-pass decomposition check."""
+class IdentityReport:
+    """Result of an exhaustive identity check: the identity's name, its
+    parameters (in display order), whether it held, how many cases were
+    compared (up to and including the first mismatch), and that mismatch
+    as a JSON-ready dict."""
 
-    n: int
-    k: int
-    l: int
-    mode: str
+    identity: str
+    params: dict
     ok: bool
     checked: int
-    first_mismatch: tuple[Perm, int, int] | None = None  # (pi, lhs, rhs)
+    first_mismatch: dict | None = None
 
     def to_dict(self) -> dict:
-        d = {
-            "identity": "decomposition",
-            "n": self.n,
-            "k": self.k,
-            "l": self.l,
-            "mode": self.mode,
-            "ok": self.ok,
-            "checked": self.checked,
-        }
+        d = {"identity": self.identity, **self.params, "ok": self.ok, "checked": self.checked}
         if self.first_mismatch is not None:
-            pi, lhs, rhs = self.first_mismatch
-            d["first_mismatch"] = {"pi": list(pi), "lhs": str(lhs), "rhs": str(rhs)}
+            d["first_mismatch"] = self.first_mismatch
         return d
 
 
@@ -346,24 +328,24 @@ def _right_multiplication_tables(
         yield tuple(t), table
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=None)  # at most 3 * EXHAUSTIVE_CAP tables
 def _class_products(
     n: int, kind: str
-) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[tuple[Perm, int, int], ...]]:
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[Perm, int, int], ...]]:
     """Structure constants of the statistic-class sums in the group algebra
-    of S_n: N_ij(pi) = #{(sigma, tau) : sigma tau = pi, stat sigma = i,
-    stat tau = j}, counted over all n!^2 products.
+    of S_n (n >= 1): N_ij(pi) = #{(sigma, tau) : sigma tau = pi,
+    stat sigma = i, stat tau = j}, counted over all n!^2 products.
 
-    Returns the class values, the distinct rows N(pi) (entries over the
-    pairs (i, j) in itertools.product order), and (pi, stat pi, row number)
-    for every pi in lexicographic order.
+    Returns the distinct rows N(pi) (entries over the pairs (i, j) of
+    statistic_range(kind, n) in itertools.product order), and
+    (pi, stat pi, row number) for every pi in lexicographic order.
     """
     perms = list(all_permutations(n))
     stats = [statistic(p, kind) for p in perms]
-    members: dict[int, list[int]] = {}
+    values = statistic_range(kind, n)  # every value is attained for n >= 1
+    members: list[list[int]] = [[] for _ in values]
     for a, stat in enumerate(stats):
-        members.setdefault(stat, []).append(a)
-    values = tuple(sorted(members))
+        members[stat].append(a)
     counts = {pair: Counter() for pair in itertools.product(values, values)}
     for t, table in _right_multiplication_tables(perms):
         j = statistic(t, kind)
@@ -374,7 +356,7 @@ def _class_products(
     for a, (p, stat) in enumerate(zip(perms, stats)):
         row = tuple(count[a] for count in counts.values())
         entries.append((p, stat, row_number.setdefault(row, len(row_number))))
-    return values, tuple(row_number), tuple(entries)
+    return tuple(row_number), tuple(entries)
 
 
 def _factorization_sums(
@@ -388,16 +370,14 @@ def _factorization_sums(
     and tau, so the sum is sum_ij op_k(i) op_l(j) N_ij(pi), read off the
     class-product table of S_n (built once per n and statistic).
     """
-    values, rows, entries = _class_products(n, mode_statistic(mode))
-    op_k = [op_chain(n, i, k, mode) for i in values]
-    op_l = [op_chain(n, j, l, mode) for j in values]
-    weights = [a * b for a, b in itertools.product(op_k, op_l)]
+    rows, entries = _class_products(n, mode_statistic(mode))
+    weights = [a * b for a, b in itertools.product(op_vector(n, k, mode), op_vector(n, l, mode))]
     return [sum(map(mul, weights, row)) for row in rows], entries
 
 
 def verify_decomposition(
     n: int, k: int, l: int, mode: str = "all", perturbation: int = 0
-) -> DecompositionReport:
+) -> IdentityReport:
     """Check, for every pi in S_n, that summing op(k)-times-op(l) over all
     factorizations sigma*tau = pi reproduces the single convolved bound:
 
@@ -410,67 +390,44 @@ def verify_decomposition(
         raise ValueError(f"exhaustive check capped at n <= {EXHAUSTIVE_CAP}")
     if k < 0 or l < 0:
         raise ValueError("bounds must be nonnegative")
-    target_m = convolved_bound(k, l, mode) + perturbation
+    params = {"n": n, "k": k, "l": l, "mode": mode}
     lhs, entries = _factorization_sums(n, k, l, mode)
-    rhs_of = {
-        i: op_chain(n, i, target_m, mode)
-        for i in statistic_range(mode_statistic(mode), n)
-    }
+    rhs = op_vector(n, convolved_bound(k, l, mode) + perturbation, mode)
     for checked, (p, stat, row) in enumerate(entries, start=1):
-        if lhs[row] != rhs_of[stat]:
-            return DecompositionReport(
-                n, k, l, mode, False, checked, (p, lhs[row], rhs_of[stat])
-            )
-    return DecompositionReport(n, k, l, mode, True, len(entries))
+        if lhs[row] != rhs[stat]:
+            mismatch = {"pi": list(p), "lhs": str(lhs[row]), "rhs": str(rhs[stat])}
+            return IdentityReport("decomposition", params, False, checked, mismatch)
+    return IdentityReport("decomposition", params, True, len(entries))
 
 
-@dataclass(frozen=True)
-class MonotonicityReport:
-    """Result of checking op(n, k, m) >= op(n, k+1, m) over the whole
-    statistic range (out-of-range values count as 0)."""
-
-    n: int
-    m: int
-    mode: str
-    ok: bool
-    values: tuple[int, ...] = field(default_factory=tuple)
-    first_violation: int | None = None  # k with op(k) < op(k+1)
-
-    def to_dict(self) -> dict:
-        return {
-            "identity": "monotonicity",
-            "n": self.n,
-            "m": self.m,
-            "mode": self.mode,
-            "ok": self.ok,
-            "values": [str(v) for v in self.values],
-            "first_violation": self.first_violation,
-        }
+def check_monotonicity(n: int, m: int, mode: str = "all") -> IdentityReport:
+    """Chain counts weakly decrease as the statistic grows: op(k) >=
+    op(k + 1) over the whole class vector, the last class against 0."""
+    params = {"n": n, "m": m, "mode": mode}
+    values = op_vector(n, m, mode) + [0]
+    for k in range(len(values) - 1):
+        if values[k] < values[k + 1]:
+            mismatch = {"k": k, "lhs": str(values[k]), "rhs": str(values[k + 1])}
+            return IdentityReport("monotonicity", params, False, k + 1, mismatch)
+    return IdentityReport("monotonicity", params, True, len(values) - 1)
 
 
-def check_monotonicity(n: int, m: int, mode: str = "all") -> MonotonicityReport:
-    """Chain counts weakly decrease as the statistic grows."""
-    kind = mode_statistic(mode)
-    ks = statistic_range(kind, n)
-    values = tuple(op_chain(n, k, m, mode) for k in ks)
-    for k in range(len(values)):
-        nxt = values[k + 1] if k + 1 < len(values) else 0
-        if values[k] < nxt:
-            return MonotonicityReport(n, m, mode, False, values, k)
-    return MonotonicityReport(n, m, mode, True, values)
-
-
-def composition_convention_check(sizes: Iterable[int] = (3, 4)) -> bool:
-    """Self test pinning the composition convention: the decomposition
-    identities must hold with compose(s, t) = s-after-t (the products
-    verify_decomposition counts), for all modes and small bounds.  Raises
-    AssertionError on failure."""
-    for n, mode, (k, l) in itertools.product(
-        sizes, MODES, [(1, 1), (1, 2), (2, 1)]
-    ):
-        report = verify_decomposition(n, k, l, mode)
-        if not report.ok:
-            raise AssertionError(
-                f"composition convention broken: n={n} mode={mode} k={k} l={l}"
-            )
-    return True
+def check_class_symmetry(n: int, mode: str = "all") -> IdentityReport:
+    """N_ij(pi) = N_ji(pi) for every pi in S_n and every pair of classes
+    of the mode's statistic.  So each two-pass sum is the same with the
+    passes in either order, and no identity here can tell compose(s, t)
+    from compose(t, s)."""
+    if n > EXHAUSTIVE_CAP:
+        raise ValueError(f"exhaustive check capped at n <= {EXHAUSTIVE_CAP}")
+    params = {"n": n, "mode": mode}
+    rows, entries = _class_products(n, mode_statistic(mode))
+    pairs = list(itertools.product(statistic_range(mode_statistic(mode), n), repeat=2))
+    for checked, (p, _, row) in enumerate(entries, start=1):
+        n_ij = dict(zip(pairs, rows[row]))
+        for i, j in pairs:
+            if n_ij[i, j] != n_ij[j, i]:
+                mismatch = {
+                    "pi": list(p), "i": i, "j": j, "lhs": str(n_ij[i, j]), "rhs": str(n_ij[j, i])
+                }
+                return IdentityReport("symmetry", params, False, checked, mismatch)
+    return IdentityReport("symmetry", params, True, len(entries))

@@ -54,9 +54,10 @@ def all_permutations(n: int) -> Iterator[Perm]:
 def compose(s: Perm, t: Perm) -> Perm:
     """The product st, acting as (st)(i) = s(t(i)).
 
-    This left-action convention is the one under which the two-pass
-    decomposition identities for order polynomials hold with the factors
-    in the written order; see orderpoly.composition_convention_check.
+    The two-pass identities do not pin this convention down: every
+    class-product table is symmetric, N_ij = N_ji (see
+    orderpoly.check_class_symmetry), so they hold with the factors in
+    either order.
 
     >>> compose((2, 3, 1), (2, 1, 3))
     (3, 2, 1)

@@ -26,9 +26,9 @@ from functools import total_ordering
 from shuffle_lab import models
 from shuffle_lab import ppartitions as pp
 from shuffle_lab.analysis import f_im
-from shuffle_lab.models import ConvolutionReport, ExactDist, ShuffleSpec, convolve
+from shuffle_lab.models import ExactDist, ShuffleSpec, convolve
 from shuffle_lab.orderpoly import (
-    DecompositionReport,
+    IdentityReport,
     convolved_bound,
     mode_statistic,
     op_chain,
@@ -220,7 +220,7 @@ def fraction_distances(spec: ShuffleSpec) -> tuple[Fraction, Fraction, Fraction]
 
 def product_loop_decomposition(
     n: int, k: int, l: int, mode: str = "all", perturbation: int = 0
-) -> DecompositionReport:
+) -> IdentityReport:
     """The two-pass decomposition check by the full n!^2 product loop:
     accumulate op_sigma(k) op_tau(l) onto compose(sigma, tau) for every
     pair, then compare each pi, in lexicographic order, with the single
@@ -233,16 +233,18 @@ def product_loop_decomposition(
     for s in lhs:
         for t in lhs:
             lhs[compose(s, t)] += op_k[s] * op_l[t]
+    params = {"n": n, "k": k, "l": l, "mode": mode}
     checked = 0
     for p, total in sorted(lhs.items()):
         checked += 1
         rhs = op_chain(n, statistic(p, kind), target_m, mode)
         if total != rhs:
-            return DecompositionReport(n, k, l, mode, False, checked, (p, total, rhs))
-    return DecompositionReport(n, k, l, mode, True, checked)
+            mismatch = {"pi": list(p), "lhs": str(total), "rhs": str(rhs)}
+            return IdentityReport("decomposition", params, False, checked, mismatch)
+    return IdentityReport("decomposition", params, True, checked)
 
 
-def compose_loop_convolution(n: int, k: int, l: int, model: str) -> ConvolutionReport:
+def compose_loop_convolution(n: int, k: int, l: int, model: str) -> IdentityReport:
     """models.group_algebra_product_check by the full n!^2 product loop:
     accumulate the two passes' integer weights onto compose(s, t) for
     every pair, then compare each pi, in lexicographic order, with
@@ -265,12 +267,14 @@ def compose_loop_convolution(n: int, k: int, l: int, model: str) -> ConvolutionR
             continue
         for t, nt in num_b.items():
             acc[compose(s, t)] += ns * nt
-    for p in sorted(acc):
+    params = {"n": n, "k": k, "l": l, "model": model}
+    for checked, p in enumerate(sorted(acc), start=1):
         lhs = Fraction(acc[p], c.total_outcomes)
         rhs = models.exact_prob(p, c)
         if lhs != rhs:
-            return ConvolutionReport(n, k, l, model, False, (p, lhs, rhs))
-    return ConvolutionReport(n, k, l, model, True)
+            mismatch = {"pi": list(p), "lhs": str(lhs), "rhs": str(rhs)}
+            return IdentityReport("group-algebra-convolution", params, False, checked, mismatch)
+    return IdentityReport("group-algebra-convolution", params, True, len(acc))
 
 
 class ProductSeries:

@@ -343,7 +343,7 @@ def test_joint_statistic_cycle_identity():
     assert verify_joint_lpk_cycle(1, 3).ok
     assert verify_joint_lpk_cycle(3, 1).ok
     report = verify_joint_lpk_cycle(5, 2)
-    assert report.ok and report.checked_types > 0
+    assert report.ok and report.checked > 0
     assert report.to_dict()["identity"] == "joint-lpk-cycle"
     with pytest.raises(ValueError):
         verify_joint_lpk_cycle(7, 2)

@@ -15,11 +15,13 @@ from pathlib import Path
 import pytest
 
 import shuffle_lab
-from shuffle_lab import analysis, models
+from shuffle_lab import analysis, cli, models, orderpoly
 from shuffle_lab.analysis import tv_distance
 from shuffle_lab.cli import format_fixed, main
 from shuffle_lab.models import ShuffleSpec
-from shuffle_lab.permutations import inverse
+from shuffle_lab.permutations import descents, inverse, left_peaks, peaks
+
+from .oracles import parse_permutation
 
 
 def run(capsys, *argv):
@@ -68,6 +70,21 @@ def test_simulate_formats(capsys):
     code, out, _ = run(capsys, "simulate", "--model", "shelf-lazy", "--n", "4",
                        "--m", "1", "--count", "0")
     assert code == 0 and out == ""
+
+
+def test_simulate_stats_columns(capsys):
+    # the --stats columns are descents, peaks and left_peaks of each deck
+    for n in (1, 2, 6, 52):
+        for model in ("shelf-lazy", "riffle-downup", "shelf-strict"):
+            code, out, _ = run(capsys, "simulate", "--model", model, "--n", str(n),
+                               "--m", "3", "--seed", "5", "--count", "40", "--stats",
+                               "--format", "json")
+            assert code == 0
+            for row in json.loads(out)["samples"]:
+                perm = parse_permutation(row["permutation"])
+                assert (row["des"], row["pk"], row["lpk"]) == (
+                    descents(perm)[0], peaks(perm), left_peaks(perm)
+                ), (n, model, perm)
 
 
 def test_unseeded_simulate_reports_its_seed(capsys):
@@ -166,6 +183,43 @@ def test_verify_single_checks(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload[0]["check"] == "oracle" and payload[0]["ok"] is True
+
+
+def test_verify_convention_checks_table_symmetry(capsys, monkeypatch):
+    # --n 1 still checks a case per statistic
+    code, out, _ = run(capsys, "verify", "--only", "convention", "--n", "1")
+    assert code == 0 and out.startswith("PASS convention") and ", 3 cases:" in out
+    honest = orderpoly._class_products
+
+    def skewed(n, kind):
+        rows, entries = honest(n, kind)
+        if n < 2:
+            return rows, entries
+        row = list(rows[0])
+        row[1] += 1  # N_01 of the first row, leaving N_10
+        return (tuple(row),) + rows[1:], entries
+
+    monkeypatch.setattr(orderpoly, "_class_products", skewed)
+    code, out, _ = run(capsys, "verify", "--only", "convention")
+    assert code == 1 and out.startswith("FAIL convention") and "'n': 2" in out
+
+
+def test_verify_rejects_csv(capsys):
+    # verify has no CSV form, so asking for one is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--only", "convention", "--format", "csv"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_verify_decomposition_keeps_every_class_table(capsys):
+    # one run visits 18 (n, statistic) tables; a second finds them all cached
+    orderpoly._class_products.cache_clear()
+    assert cli._verify_decomposition(6)[0]
+    first = orderpoly._class_products.cache_info()
+    assert first.misses == 18 and first.currsize == 18
+    assert cli._verify_decomposition(6)[0]
+    assert orderpoly._class_products.cache_info().misses == first.misses
 
 
 def test_verify_runs_the_nine_checks_in_order(capsys):

@@ -357,7 +357,7 @@ def test_group_algebra_product_check():
     assert group_algebra_product_check(5, 1, 2, "shelf-lazy").ok
     assert group_algebra_product_check(4, 0, 2, "shelf-lazy").ok
     report = group_algebra_product_check(3, 2, 3, "riffle-downup")
-    assert report.ok and report.to_dict()["ok"] is True
+    assert report.ok and report.checked == 6 and report.to_dict()["ok"] is True
     with pytest.raises(ValueError):
         group_algebra_product_check(7, 1, 1, "shelf-lazy")
     with pytest.raises(ValueError, match="unknown model"):

@@ -12,8 +12,8 @@ from shuffle_lab.analysis import tv_distance
 from shuffle_lab.models import ShuffleSpec
 from shuffle_lab.orderpoly import (
     EXHAUSTIVE_CAP,
+    check_class_symmetry,
     check_monotonicity,
-    composition_convention_check,
     convolved_bound,
     gf_coefficients,
     mode_statistic,
@@ -137,7 +137,7 @@ def test_op_vector_recurrence_negative_control(monkeypatch):
     specs = [
         ShuffleSpec(n, m, model)
         for n, m in ((8, 3), (52, 10), (200, 2828))
-        for model in ("shelf-lazy", "shelf-standard")
+        for model in ("shelf-lazy", "shelf-standard", "shelf-strict")
     ]
     for spec in specs:
         tv_distance(spec)  # the honest recurrence passes
@@ -255,8 +255,7 @@ def test_verify_decomposition_equals_product_loop():
 
 
 def test_right_multiplication_tables_equal_compose():
-    # the tables behind the class products are compose(s, t), so the
-    # decomposition checks keep pinning the composition convention
+    # the tables behind the class products are compose(s, t)
     for n in range(1, 5):
         perms = list(all_permutations(n))
         seen = []
@@ -275,7 +274,8 @@ def test_class_products_count_factorizations():
             for s in perms
             for t in perms
         )
-        values, rows, entries = orderpoly._class_products(n, kind)
+        values = statistic_range(kind, n)
+        rows, entries = orderpoly._class_products(n, kind)
         assert [p for p, _, _ in entries] == perms
         for p, stat, row in entries:
             assert stat == statistic(p, kind)
@@ -288,6 +288,11 @@ def test_verify_decomposition_negative_control():
     assert not report.ok
     assert report.first_mismatch is not None
     assert "first_mismatch" in report.to_dict()
+    # the report's dict keeps its key order: the CLI prints it as it is
+    assert repr(verify_decomposition(1, 0, 0, "all", perturbation=1).to_dict()) == (
+        "{'identity': 'decomposition', 'n': 1, 'k': 0, 'l': 0, 'mode': 'all', 'ok': False, "
+        "'checked': 1, 'first_mismatch': {'pi': [1], 'lhs': '1', 'rhs': '3'}}"
+    )
 
 
 def test_verify_decomposition_guardrails():
@@ -297,17 +302,40 @@ def test_verify_decomposition_guardrails():
         verify_decomposition(3, -1, 1, "all")
 
 
-def test_check_monotonicity():
+def test_check_monotonicity(monkeypatch):
     for n, mode in itertools.product(range(1, 9), MODES):
         for m in range(5):
             report = check_monotonicity(n, m, mode)
             assert report.ok, report.to_dict()
-            assert list(report.values) == sorted(report.values, reverse=True)
+            values = op_vector(n, m, mode)
+            assert values == sorted(values, reverse=True)
+            assert report.checked == len(values) and report.first_mismatch is None
+    assert op_vector(8, 3, "all")[0] == op_lazy(8, 0, 3)
+    # an increasing class vector fails at its first rise
+    monkeypatch.setattr(orderpoly, "op_vector", lambda n, m, mode: [3, 5, 4])
     report = check_monotonicity(8, 3, "all")
-    assert report.values[0] == op_lazy(8, 0, 3)
-    assert report.first_violation is None
+    assert not report.ok and report.checked == 1
+    assert report.to_dict() == {
+        "identity": "monotonicity", "n": 8, "m": 3, "mode": "all", "ok": False,
+        "checked": 1, "first_mismatch": {"k": 0, "lhs": "3", "rhs": "5"},
+    }
 
 
-def test_composition_convention_check():
-    assert composition_convention_check() is True
-    assert composition_convention_check(sizes=(3,)) is True
+def test_check_class_symmetry(monkeypatch):
+    # N_ij = N_ji, so the identities cannot see the composition convention
+    for n, mode in itertools.product(range(1, 6), MODES):
+        report = check_class_symmetry(n, mode)
+        assert report.ok and report.checked == len(list(all_permutations(n))), (n, mode)
+    # one asymmetric entry in a table must fail the check
+    honest = orderpoly._class_products
+
+    def skewed(n, kind):
+        rows, entries = honest(n, kind)
+        row = list(rows[0])
+        row[1] += 1  # N_01 of the first row, leaving N_10
+        return (tuple(row),) + rows[1:], entries
+
+    monkeypatch.setattr(orderpoly, "_class_products", skewed)
+    report = check_class_symmetry(3, "positive")
+    assert not report.ok and report.checked == 1
+    assert report.first_mismatch == {"pi": [1, 2, 3], "i": 0, "j": 1, "lhs": "1", "rhs": "0"}
