@@ -212,7 +212,7 @@ def test_verify_rejects_csv(capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_verify_decomposition_keeps_every_class_table(capsys):
+def test_verify_decomposition_keeps_every_class_table():
     # one run visits 18 (n, statistic) tables; a second finds them all cached
     orderpoly._class_products.cache_clear()
     assert cli._verify_decomposition(6)[0]
