@@ -25,14 +25,16 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .models import ShuffleSpec
+from .models import ShuffleSpec, exact_prob
 from .orderpoly import IdentityReport, gf_coefficients, op_vector, statistic_range
-from .permutations import all_permutations, cycle_type_partition, left_peaks
+from .permutations import all_permutations, cycle_type_partition, fixed_points, left_peaks
 
 __all__ = [
     "AsymptoticReport",
     "SERIES_CAP",
     "asymptotic_compare",
+    "check_cycle_distribution",
+    "check_expected_fixed_points",
     "count_table",
     "cycle_count_series",
     "cycle_distribution",
@@ -292,6 +294,26 @@ def cycle_distribution(spec: ShuffleSpec) -> dict[tuple[int, ...], Fraction]:
     return {part: Fraction(c, total) for part, c in counts}
 
 
+def check_cycle_distribution(n: int, m: int) -> IdentityReport:
+    """cycle_distribution of one lazy pass equals the exhaustive totals of
+    exact_prob over S_n, cycle type by cycle type (a type missing from
+    either side counts as probability 0)."""
+    spec = ShuffleSpec(n, m, "shelf-lazy")
+    expected: dict[tuple[int, ...], Fraction] = {}
+    for p in all_permutations(n):
+        part = cycle_type_partition(p)
+        expected[part] = expected.get(part, Fraction(0)) + exact_prob(p, spec)
+    table = cycle_distribution(spec)
+    params = {"n": n, "m": m}
+    types = sorted(set(expected) | set(table))
+    for checked, part in enumerate(types, start=1):
+        lhs, rhs = expected.get(part, 0), table.get(part, 0)
+        if lhs != rhs:
+            mismatch = {"type": list(part), "lhs": str(lhs), "rhs": str(rhs)}
+            return IdentityReport("cycle-distribution", params, False, checked, mismatch)
+    return IdentityReport("cycle-distribution", params, True, len(types))
+
+
 def expected_fixed_points(n: int, m: int) -> Fraction:
     """Mean number of fixed points after one lazy pass.
 
@@ -306,6 +328,19 @@ def expected_fixed_points(n: int, m: int) -> Fraction:
     if n % 2:
         return 1 + 2 * sum((q ** (2 * k) for k in range(1, (n - 1) // 2 + 1)), Fraction(0))
     return 1 + 2 * sum((q ** (2 * k) for k in range(1, n // 2)), Fraction(0)) + q**n
+
+
+def check_expected_fixed_points(n: int, m: int) -> IdentityReport:
+    """expected_fixed_points(n, m) equals the exhaustive mean of
+    fixed_points under exact_prob over S_n: one case."""
+    spec = ShuffleSpec(n, m, "shelf-lazy")
+    brute = sum(exact_prob(p, spec) * fixed_points(p) for p in all_permutations(n))
+    formula = expected_fixed_points(n, m)
+    params = {"n": n, "m": m}
+    if brute != formula:
+        mismatch = {"lhs": str(brute), "rhs": str(formula)}
+        return IdentityReport("expected-fixed-points", params, False, 1, mismatch)
+    return IdentityReport("expected-fixed-points", params, True, 1)
 
 
 def verify_joint_lpk_cycle(n: int, m_max: int) -> IdentityReport:

@@ -12,17 +12,9 @@ import json
 import random
 import sys
 from fractions import Fraction
-from functools import lru_cache
 
-from . import analysis, models, orderpoly, posets, ppartitions
-from .permutations import (
-    all_permutations,
-    cycle_type_partition,
-    descents,
-    fixed_points,
-    format_permutation,
-    peaks,
-)
+from . import analysis, models, orderpoly, ppartitions
+from .permutations import descents, format_permutation, peaks
 
 __all__ = ["main", "entry"]
 
@@ -165,170 +157,83 @@ def cmd_tv_table(args: argparse.Namespace) -> int:
 # verify
 
 
-def _verify_convention(n: int) -> tuple[bool, str]:
-    size = min(n, 4)
-    checked = 0
-    for nn in range(1, size + 1):
-        for mode in ppartitions.MODES:
-            report = orderpoly.check_class_symmetry(nn, mode)
-            if not report.ok:
-                return False, f"asymmetric table: {report.to_dict()}"
-            checked += report.checked
-    return True, (
-        f"class-product tables are symmetric (N_ij = N_ji) for n<={size}, all statistics, "
-        f"{checked} cases: the identities hold under either composition convention"
-    )
-
-
-def _verify_decomposition(n: int, perturbation: int = 0) -> tuple[bool, str]:
-    for size in range(1, n + 1):
-        for mode in ppartitions.MODES:
-            for k in range(3):
-                for l in range(3):
-                    report = orderpoly.verify_decomposition(
-                        size, k, l, mode, perturbation=perturbation
-                    )
-                    if not report.ok:
-                        return False, f"mismatch: {report.to_dict()}"
-    return True, f"two-pass decomposition holds up to n={n}, k,l<=2, all modes"
-
-
-def _verify_monotonicity(n: int) -> tuple[bool, str]:
-    for size in range(1, n + 1):
-        for mode in ppartitions.MODES:
-            for m in range(6):
-                report = orderpoly.check_monotonicity(size, m, mode)
-                if not report.ok:
-                    return False, f"violation: {report.to_dict()}"
-    return True, f"chain counts weakly decrease in the statistic up to n={n}, m<=5"
-
-
-def _verify_group_algebra(n: int) -> tuple[bool, str]:
-    size = min(n, 4)
-    for model in models.MODELS:
-        for k, l in ((1, 1), (1, 2)):
-            report = models.group_algebra_product_check(size, k, l, model)
-            if not report.ok:
-                return False, f"mismatch: {report.to_dict()}"
-    return True, f"distribution convolution matches the single pass at n={size}"
-
-
-def _verify_fundamental(n: int) -> tuple[bool, str]:
-    size = min(n, 4)
-
-    @lru_cache(maxsize=None)  # chain pieces recur across posets
-    def piece(p: tuple[int, ...], m: int, mode: str) -> frozenset:
-        return frozenset(ppartitions.enumerate_bounded(posets.Poset.chain(p), m, mode))
-
-    for poset in posets.all_posets(size):
-        extensions = poset.linear_extensions()
-        for mode in ppartitions.MODES:
-            for m in range(3):
-                whole = set(ppartitions.enumerate_bounded(poset, m, mode))
-                union: set = set()
-                total = 0
-                for p in extensions:
-                    part = piece(p, m, mode)
-                    union |= part
-                    total += len(part)
-                if union != whole or total != len(whole):
-                    return False, f"partition failure: poset={poset}, mode={mode}, m={m}"
-    return True, f"bounded partitions split by linear extension on all posets, n<={size}"
-
-
-def _verify_oracle(n: int) -> tuple[bool, str]:
-    size = min(n, 5)
-    for nn in range(1, size + 1):
-        for p in all_permutations(nn):
-            chain = posets.Poset.chain(p)
-            for mode in ppartitions.MODES:
-                for m in range(3):
-                    closed = orderpoly.op_of_perm(p, m, mode)
-                    count = len(ppartitions.enumerate_bounded(chain, m, mode))
-                    if closed != count:
-                        return False, f"op mismatch at p={p}, mode={mode}, m={m}"
-    return True, f"closed forms equal enumeration on every chain, n<={size}, m<=2"
-
-
-def _verify_cycles(n: int) -> tuple[bool, str]:
-    size = min(n, 5)
-    for nn in range(1, size + 1):
-        for m in range(1, 3):
-            spec = models.ShuffleSpec(nn, m, "shelf-lazy")
-            expected: dict[tuple[int, ...], Fraction] = {}
-            for p in all_permutations(nn):
-                part = cycle_type_partition(p)
-                expected[part] = expected.get(part, Fraction(0)) + models.exact_prob(p, spec)
-            table = analysis.cycle_distribution(spec)
-            if {k: v for k, v in expected.items() if v} != table:
-                return False, f"cycle table mismatch at n={nn}, m={m}"
-    return True, f"cycle tables match exhaustive totals, n<={size}, m<=2"
-
-
-def _verify_fixed_points(n: int) -> tuple[bool, str]:
-    size = min(n, 5)
-    for nn in range(1, size + 1):
-        for m in range(1, 3):
-            spec = models.ShuffleSpec(nn, m, "shelf-lazy")
-            brute = sum(
-                (models.exact_prob(p, spec) * fixed_points(p) for p in all_permutations(nn)),
-                Fraction(0),
-            )
-            if brute != analysis.expected_fixed_points(nn, m):
-                return False, f"fixed-point mismatch at n={nn}, m={m}"
-    return True, f"fixed-point formula matches exhaustive means, n<={size}, m<=2"
-
-
-def _verify_joint(n: int) -> tuple[bool, str]:
-    report = analysis.verify_joint_lpk_cycle(min(n, 4), 2)
-    if not report.ok:
-        return False, f"mismatch: {report.to_dict()}"
-    return True, f"joint statistic/cycle identity holds, n<={min(n, 4)}, m<=2"
-
-
-_VERIFIERS = {
-    "convention": (_verify_convention, 4),
-    "decomposition": (_verify_decomposition, 4),
-    "monotonicity": (_verify_monotonicity, 8),
-    "group-algebra": (_verify_group_algebra, 4),
-    "fundamental": (_verify_fundamental, 4),
-    "oracle": (_verify_oracle, 4),
-    "cycles": (_verify_cycles, 5),
-    "fixed-points": (_verify_fixed_points, 5),
-    "joint": (_verify_joint, 4),
+# name -> (default n, largest n run (None: not exhaustive, any n), the
+# check's IdentityReports at size n, PASS summary).  The generators call
+# each check through its module, where the benchmark's tracer wraps it.
+_CHECKS = {
+    "convention": (4, 4, lambda n: (
+        orderpoly.check_class_symmetry(size, mode)
+        for size in range(1, n + 1) for mode in ppartitions.MODES),
+        "class-product tables are symmetric (N_ij = N_ji) for n<={n}, all statistics, "
+        "{checked} cases: the identities hold under either composition convention"),
+    "decomposition": (4, orderpoly.EXHAUSTIVE_CAP, lambda n, perturbation=0: (
+        orderpoly.verify_decomposition(size, k, l, mode, perturbation=perturbation)
+        for size in range(1, n + 1) for mode in ppartitions.MODES
+        for k in range(3) for l in range(3)),
+        "two-pass decomposition holds up to n={n}, k,l<=2, all modes"),
+    "monotonicity": (8, None, lambda n: (
+        orderpoly.check_monotonicity(size, m, mode)
+        for size in range(1, n + 1) for mode in ppartitions.MODES for m in range(6)),
+        "chain counts weakly decrease in the statistic up to n={n}, m<=5"),
+    "group-algebra": (4, 4, lambda n: (
+        models.group_algebra_product_check(n, k, l, model)
+        for model in models.MODELS for k, l in ((1, 1), (1, 2))),
+        "distribution convolution matches the single pass at n={n}"),
+    "fundamental": (4, 4, lambda n: [orderpoly.check_linear_extension_split(n, 2)],
+        "bounded partitions split by linear extension on all posets, n<={n}"),
+    "oracle": (4, 5, lambda n: (
+        orderpoly.check_closed_forms(size, 2) for size in range(1, n + 1)),
+        "closed forms equal enumeration on every chain, n<={n}, m<=2"),
+    "cycles": (5, 5, lambda n: (
+        analysis.check_cycle_distribution(size, m) for size in range(1, n + 1) for m in (1, 2)),
+        "cycle tables match exhaustive totals, n<={n}, m<=2"),
+    "fixed-points": (5, 5, lambda n: (
+        analysis.check_expected_fixed_points(size, m)
+        for size in range(1, n + 1) for m in (1, 2)),
+        "fixed-point formula matches exhaustive means, n<={n}, m<=2"),
+    "joint": (4, 4, lambda n: [analysis.verify_joint_lpk_cycle(n, 2)],
+        "joint statistic/cycle identity holds, n<={n}, m<=2"),
 }
 
 
+def _run_check(name: str, n: int, **corrupt: int) -> dict:
+    """One verify result: the check's reports at n (capped at its largest
+    size), their summed ``checked``, and the first report that fails."""
+    _, largest, reports, summary = _CHECKS[name]
+    size = n if largest is None else min(n, largest)
+    checked = 0
+    for report in reports(size, **corrupt):
+        checked += report.checked
+        if not report.ok:
+            mismatch = report.to_dict()
+            return {"ok": False, "detail": f"mismatch: {mismatch}", "checked": checked,
+                    "report": mismatch}
+    return {"ok": True, "detail": summary.format(n=size, checked=checked), "checked": checked}
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
-    names = [args.only] if args.only else list(_VERIFIERS)
+    names = [args.only] if args.only else list(_CHECKS)
     cap = orderpoly.EXHAUSTIVE_CAP
     if args.n is not None and args.n < 1:
         raise ValueError("--n must be at least 1")
-    if args.n is not None and args.n > cap and args.only != "monotonicity":
+    if args.n is not None and args.n > cap and any(_CHECKS[name][1] is not None for name in names):
         raise ValueError(f"exhaustive verification refuses n > {cap}")
-    results = []
-    ok_all = True
     if args.self_test_corrupt:
-        ok, detail = _verify_decomposition(args.n or 3, perturbation=1)
-        ok_all &= ok
-        results.append(("decomposition[corrupted]", ok, detail))
+        corrupted = _run_check("decomposition", args.n or 3, perturbation=1)
+        results = [{"check": "decomposition[corrupted]", **corrupted}]
     else:
-        for name in names:
-            func, default_n = _VERIFIERS[name]
-            ok, detail = func(args.n if args.n is not None else default_n)
-            ok_all &= ok
-            results.append((name, ok, detail))
-    if args.format == "json":
-        payload = [
-            {"check": name, "ok": ok, "detail": detail} for name, ok, detail in results
+        results = [
+            {"check": name, **_run_check(name, _CHECKS[name][0] if args.n is None else args.n)}
+            for name in names
         ]
-        text = json.dumps(payload, indent=2) + "\n"
+    if args.format == "json":
+        text = json.dumps(results, indent=2) + "\n"
     else:
         text = "".join(
-            f"{'PASS' if ok else 'FAIL'} {name}: {detail}\n" for name, ok, detail in results
+            f"{'PASS' if r['ok'] else 'FAIL'} {r['check']}: {r['detail']}\n" for r in results
         )
     _emit(text, args.output)
-    return 0 if ok_all else 1
+    return 0 if all(r["ok"] for r in results) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tv_table)
 
     p = sub.add_parser("verify", help="run the identity suite")
-    p.add_argument("--only", choices=tuple(_VERIFIERS), default=None)
+    p.add_argument("--only", choices=tuple(_CHECKS), default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--self-test-corrupt", action="store_true",
                    help="negative control: perturb a constant and expect failure")

@@ -1,8 +1,9 @@
 """Closed-form counts of bounded chain partitions ("order polynomials"),
 and exhaustive verification of the identities the shuffle analysis rests
-on: two-pass decomposition, monotonicity in the statistic, and the
-symmetry of the class-product tables.  Every check returns an
-IdentityReport.
+on: two-pass decomposition, monotonicity in the statistic, the symmetry
+of the class-product tables, the closed forms against enumeration, and
+the split of bounded P-partitions over linear extensions.  Every check
+returns an IdentityReport.
 
 Everything is exact integer arithmetic.  For a chain labeled by a
 permutation, the count depends only on (n, statistic, bound m), with the
@@ -24,12 +25,14 @@ from operator import itemgetter, mul
 from typing import Iterator
 
 from .permutations import Perm, all_permutations, statistic
-from .posets import Poset
-from .ppartitions import lookup_mode
+from .posets import Poset, all_posets
+from .ppartitions import MODES, enumerate_bounded, lookup_mode
 
 __all__ = [
     "IdentityReport",
     "check_class_symmetry",
+    "check_closed_forms",
+    "check_linear_extension_split",
     "check_monotonicity",
     "convolved_bound",
     "gf_coefficients",
@@ -163,18 +166,17 @@ def op_vector(n: int, m: int, mode: str) -> list[int]:
     4^k C(n - 2k, a - k) C(n + m - a, n) for "all", and creative
     telescoping (Zeilberger's algorithm; Petkovsek, Wilf and Zeilberger,
     "A = B", 1996) gives a recurrence in k with polynomial coefficients.
-    The "all" and "nonzero" coefficients were fitted to the closed forms
-    and are tested equal to them over a wide range of n and m
-    (tests/test_orderpoly.py); that is evidence, not a proof, and no
-    telescoping certificate has been checked (a search for one with
-    sympy's Gosper algorithm did not finish in ten minutes).
+    Every row is proved (certificate in tests): tests/test_orderpoly.py
+    checks each mode's telescoping certificate as a polynomial identity
+    in n, m, k and the summation index, and the points where the summand
+    is 0 separately.
 
     Classes above top = min(m, last class) are 0 in every mode, since
     their closed-form sums are empty (in "nonzero" and "positive" class m
     is 0 too).  op(top) and op(top - 1) come from op_chain, and P0 is
     nonzero at every k <= top - 2 in every mode, so each step down is one
-    exact division by P0.  A remainder means the recurrence does not hold
-    and raises ArithmeticError.
+    exact division by P0.  A remainder means the table disagrees with the
+    proved recurrence and raises ArithmeticError.
 
     >>> op_vector(4, 2, "all")
     [41, 28, 16]
@@ -431,3 +433,58 @@ def check_class_symmetry(n: int, mode: str = "all") -> IdentityReport:
                 }
                 return IdentityReport("symmetry", params, False, checked, mismatch)
     return IdentityReport("symmetry", params, True, len(entries))
+
+
+def check_closed_forms(n: int, m_max: int) -> IdentityReport:
+    """op_of_perm(pi, m, mode) equals the number of bounded P-partitions
+    of the chain pi(1) < ... < pi(n), enumerated, for every pi in S_n,
+    every mode and every m <= m_max.  Each chain is built once."""
+    params = {"n": n, "m_max": m_max}
+    checked = 0
+    for p in all_permutations(n):
+        chain = Poset.chain(p)
+        for mode in MODES:
+            for m in range(m_max + 1):
+                closed = op_of_perm(p, m, mode)
+                count = len(enumerate_bounded(chain, m, mode))
+                checked += 1
+                if closed != count:
+                    mismatch = {"pi": list(p), "mode": mode, "m": m,
+                                "lhs": str(closed), "rhs": str(count)}
+                    return IdentityReport("closed-forms", params, False, checked, mismatch)
+    return IdentityReport("closed-forms", params, True, checked)
+
+
+def check_linear_extension_split(n: int, m_max: int) -> IdentityReport:
+    """The bounded P-partitions of every poset on n points are the disjoint
+    union, over its linear extensions p, of those of the chains p, in every
+    mode and for every m <= m_max.  Posets are the outer loop, so each
+    poset's extensions are listed once; a chain's piece is enumerated once
+    per (p, m, mode) across all posets.  "unmatched" in a mismatch counts
+    the maps in only one of the poset's set (lhs) and the pieces (rhs)."""
+    params = {"n": n, "m_max": m_max}
+    pieces: dict[tuple[Perm, int, str], frozenset] = {}
+    checked = 0
+    for poset in all_posets(n):
+        extensions = poset.linear_extensions()
+        for mode in MODES:
+            for m in range(m_max + 1):
+                whole = set(enumerate_bounded(poset, m, mode))
+                union: set = set()
+                total = 0
+                for p in extensions:
+                    part = pieces.get((p, m, mode))
+                    if part is None:
+                        part = frozenset(enumerate_bounded(Poset.chain(p), m, mode))
+                        pieces[p, m, mode] = part
+                    union |= part
+                    total += len(part)
+                checked += 1
+                if union != whole or total != len(whole):
+                    mismatch = {"relations": [list(pair) for pair in sorted(poset.relation)],
+                                "mode": mode, "m": m, "lhs": str(len(whole)), "rhs": str(total),
+                                "unmatched": len(whole ^ union)}
+                    return IdentityReport(
+                        "linear-extension-split", params, False, checked, mismatch
+                    )
+    return IdentityReport("linear-extension-split", params, True, checked)

@@ -11,6 +11,8 @@ from shuffle_lab.analysis import (
     SERIES_CAP,
     _two_sided_power,
     asymptotic_compare,
+    check_cycle_distribution,
+    check_expected_fixed_points,
     count_table,
     cycle_count_series,
     cycle_distribution,
@@ -352,3 +354,37 @@ def test_joint_statistic_cycle_identity():
     # m_max = 0 would check no case at all
     with pytest.raises(ValueError, match="m_max must be at least 1"):
         verify_joint_lpk_cycle(3, 0)
+
+
+def test_check_cycle_distribution(monkeypatch):
+    for n, m in itertools.product(range(1, 6), (1, 2)):
+        report = check_cycle_distribution(n, m)
+        types = cycle_distribution(ShuffleSpec(n, m, "shelf-lazy"))
+        assert report.ok and report.checked == len(types), (n, m)
+    assert check_cycle_distribution(4, 1).checked == 5  # the partitions of 4
+    # a table missing one cycle type fails at that type
+    honest = analysis.cycle_distribution
+
+    def missing(spec):
+        table = honest(spec)
+        del table[(spec.n,)]
+        return table
+
+    monkeypatch.setattr(analysis, "cycle_distribution", missing)
+    report = check_cycle_distribution(4, 1)
+    assert not report.ok and report.checked == 5
+    assert report.first_mismatch == {"type": [4], "lhs": "20/81", "rhs": "0"}
+
+
+def test_check_expected_fixed_points(monkeypatch):
+    for n, m in itertools.product(range(1, 6), (1, 2)):
+        report = check_expected_fixed_points(n, m)
+        assert report.ok and report.checked == 1
+    honest = analysis.expected_fixed_points
+    monkeypatch.setattr(analysis, "expected_fixed_points", lambda n, m: honest(n, m) + 1)
+    report = check_expected_fixed_points(3, 1)
+    assert not report.ok
+    assert report.to_dict() == {
+        "identity": "expected-fixed-points", "n": 3, "m": 1, "ok": False, "checked": 1,
+        "first_mismatch": {"lhs": "11/9", "rhs": "20/9"},
+    }

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import shuffle_lab
-from shuffle_lab import analysis, cli, models, orderpoly
+from shuffle_lab import analysis, models, orderpoly
 from shuffle_lab.analysis import tv_distance
 from shuffle_lab.cli import format_fixed, main
 from shuffle_lab.models import ShuffleSpec
@@ -176,8 +176,9 @@ def test_tv_table_rejects_empty_m(capsys):
 def test_verify_single_checks(capsys):
     code, out, _ = run(capsys, "verify", "--only", "convention")
     assert code == 0 and out.startswith("PASS convention")
-    code, out, _ = run(capsys, "verify", "--only", "monotonicity", "--n", "8")
-    assert code == 0 and out.startswith("PASS monotonicity")
+    for n in ("8", "40"):  # monotonicity is not exhaustive, so any n runs
+        code, out, _ = run(capsys, "verify", "--only", "monotonicity", "--n", n)
+        assert code == 0 and out.startswith("PASS monotonicity") and f"n={n}," in out
     code, out, _ = run(capsys, "verify", "--only", "oracle", "--n", "3",
                        "--format", "json")
     assert code == 0
@@ -212,13 +213,13 @@ def test_verify_rejects_csv(capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_verify_decomposition_keeps_every_class_table():
+def test_verify_decomposition_keeps_every_class_table(capsys):
     # one run visits 18 (n, statistic) tables; a second finds them all cached
     orderpoly._class_products.cache_clear()
-    assert cli._verify_decomposition(6)[0]
+    assert run(capsys, "verify", "--only", "decomposition", "--n", "6")[0] == 0
     first = orderpoly._class_products.cache_info()
     assert first.misses == 18 and first.currsize == 18
-    assert cli._verify_decomposition(6)[0]
+    assert run(capsys, "verify", "--only", "decomposition", "--n", "6")[0] == 0
     assert orderpoly._class_products.cache_info().misses == first.misses
 
 
@@ -245,8 +246,10 @@ def test_verify_group_algebra_covers_the_riffles(capsys, monkeypatch):
 
 
 def test_verify_rejects_large_n(capsys):
-    code, _, err = run(capsys, "verify", "--only", "decomposition", "--n", "9")
-    assert code == 2 and "refuses" in err
+    # convention runs at most n = 4, but it is exhaustive, so n = 9 is refused
+    for name in ("decomposition", "convention"):
+        code, _, err = run(capsys, "verify", "--only", name, "--n", "9")
+        assert code == 2 and "refuses" in err
 
 
 def test_verify_rejects_n_below_one(capsys):
@@ -269,6 +272,22 @@ def test_verify_decomposition_reports_first_mismatch(capsys):
     (result,) = json.loads(out)
     assert result["ok"] is False
     assert "'n': 1, 'k': 0, 'l': 0, 'mode': 'all'" in result["detail"]
+
+
+def test_verify_json_carries_the_report(capsys):
+    code, out, _ = run(capsys, "verify", "--self-test-corrupt", "--format", "json")
+    assert code == 1
+    (result,) = json.loads(out)
+    assert result["checked"] == 1
+    assert result["report"]["first_mismatch"] == {"pi": [1], "lhs": "1", "rhs": "3"}
+    assert result["detail"] == f"mismatch: {result['report']}"
+    code, out, _ = run(capsys, "verify", "--format", "json")
+    assert code == 0
+    results = {r["check"]: r for r in json.loads(out)}
+    assert len(results) == 9 and not any("report" in r for r in results.values())
+    convention = results["convention"]
+    assert convention["checked"] == 99 and ", 99 cases:" in convention["detail"]
+    assert results["fundamental"]["checked"] == 219 * 9
 
 
 def test_cycles_probabilities_sum_to_one(capsys):

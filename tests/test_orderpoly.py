@@ -3,6 +3,7 @@ built on them."""
 
 import itertools
 from collections import Counter
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -13,6 +14,8 @@ from shuffle_lab.models import ShuffleSpec
 from shuffle_lab.orderpoly import (
     EXHAUSTIVE_CAP,
     check_class_symmetry,
+    check_closed_forms,
+    check_linear_extension_split,
     check_monotonicity,
     convolved_bound,
     gf_coefficients,
@@ -339,3 +342,224 @@ def test_check_class_symmetry(monkeypatch):
     report = check_class_symmetry(3, "positive")
     assert not report.ok and report.checked == 1
     assert report.first_mismatch == {"pi": [1, 2, 3], "i": 0, "j": 1, "lhs": "1", "rhs": "0"}
+
+
+def test_check_closed_forms(monkeypatch):
+    report = check_closed_forms(4, 2)
+    assert report.ok and report.checked == 24 * 3 * 3  # S_4, three modes, m <= 2
+    assert check_closed_forms(1, 0).checked == 3
+    # a closed form off by one fails at the first chain
+    honest = orderpoly.op_of_perm
+    monkeypatch.setattr(orderpoly, "op_of_perm", lambda p, m, mode: honest(p, m, mode) + 1)
+    report = check_closed_forms(3, 2)
+    assert not report.ok and report.checked == 1
+    assert report.first_mismatch == {
+        "pi": [1, 2, 3], "mode": "all", "m": 0, "lhs": "2", "rhs": "1"
+    }
+
+
+def test_check_linear_extension_split(monkeypatch):
+    report = check_linear_extension_split(4, 2)
+    assert report.ok and report.checked == 219 * 9  # posets on 4 points, 3 modes x m <= 2
+    # enumeration that loses one map of a non-chain poset breaks the split
+    honest = orderpoly.enumerate_bounded
+
+    def drop_one(poset, m, mode):
+        maps = honest(poset, m, mode)
+        return maps[1:] if len(poset.linear_extensions()) > 1 else maps
+
+    monkeypatch.setattr(orderpoly, "enumerate_bounded", drop_one)
+    report = check_linear_extension_split(3, 2)
+    assert not report.ok and report.checked == 1
+    assert report.first_mismatch == {
+        "relations": [], "mode": "all", "m": 0, "lhs": "0", "rhs": "1", "unmatched": 1
+    }
+
+    # pieces that overlap cover the poset's maps but count one of them twice
+    def overlapping(poset, m, mode):
+        maps = honest(poset, m, mode)
+        if poset.linear_extensions() == [(2, 1)]:
+            maps = maps + [f for f in honest(Poset.chain((1, 2)), m, mode) if f[0] == f[1]]
+        return maps
+
+    monkeypatch.setattr(orderpoly, "enumerate_bounded", overlapping)
+    report = check_linear_extension_split(2, 2)
+    assert not report.ok and report.checked == 1
+    assert report.first_mismatch == {
+        "relations": [], "mode": "all", "m": 0, "lhs": "1", "rhs": "2", "unmatched": 0
+    }
+
+
+# ---------------------------------------------------------------------------
+# the class-vector recurrence, proved
+#
+# op(k) = sum over a of F(k, a), with the closed-form summand
+#     all:      F(k, a) = 4^k C(n - 2k, a - k) C(n + m - a, n)
+#     nonzero:  F(k, a) = 2 4^k C(n - 1 - 2k, a - k) C(n - 1 + m - a, n)
+#     positive: F(k, a) = C(n - 1 + m - k, n) at a = 0, else 0
+# (C(x, y) = 0 unless 0 <= y <= x).  With G(k, a) = R(a) F(k, a), the
+# certificate R of each mode makes, for every integer a,
+#     P0 F(k, a) + P1 F(k+1, a) + P2 F(k+2, a) = G(k, a+1) - G(k, a)      (*)
+# with P0, P1, P2 the row of orderpoly._RECURRENCE.  F has finite support in
+# a, so summing (*) over a telescopes to P0 op(k) + P1 op(k+1) + P2 op(k+2) = 0.
+#
+# Where F(k, a) != 0, divide (*) by it.  The ratios r1(k) = F(k+1, a)/F(k, a),
+# F(k+2, a)/F(k, a) = r1(k) r1(k+1) and s = F(k, a+1)/F(k, a) are the
+# rational functions in _CERTIFICATES (each follows from
+# C(N-2, j-1)/C(N, j) = j (N-j)/(N (N-1)) and its kin, and the zero cases
+# come out as a factor of the numerator), so (*) becomes
+#     P0 + P1 r1(k) + P2 r1(k) r1(k+1) = R(a+1) s - R(a),
+# and clearing denominators makes it a polynomial identity in (n, m, k, a),
+# which test_recurrence_certificates expands and compares.  Every
+# denominator is nonzero along op_vector's steps: k <= top - 2 gives
+# n - 2k >= 4 ("all") or n - 2k - 1 >= 4 ("nonzero"), and a + 1 - k and
+# n + m - a (n - 1 + m - a) are positive wherever F(k, a) != 0.
+#
+# Where F(k, a) = 0: F(k+1, a) and F(k+2, a) are 0 too (their supports lie
+# inside that of F(k, .)), and so is G(k, a), so (*) asks G(k, a+1) = 0.
+# F(k, a) = 0 when a < k, when a - k is past the top of the first binomial
+# (a > n - k, or n - 1 - k), or when a is past the support of the second
+# binomial (a > m in "all", a >= m in "nonzero").  In the last two cases
+# a + 1 is past it too, so F(k, a+1) = 0.  In the first, F(k, a+1) = 0
+# too, except at a = k - 1, where R(a+1) = R(k) has the factor (a - k)
+# and vanishes.  In "positive", R = 0, and F(k) = 0 (k > m - 1) forces
+# F(k+1) = 0.
+# test_recurrence_telescopes_pointwise checks (*) itself, zeros included.
+
+_CERTIFICATES = {
+    # mode: (R numerator, R denominator, r1 = (num, den), s = (num, den))
+    "all": (
+        lambda n, m, k, a, off=0: -4 * (a - n - m - 1) * (a - k) * (
+            (2 + off) * a * a + (2 * m - 2 * n - 1) * a + k * n - m * n - m + n
+        ),
+        lambda n, m, k: (n - 2 * k) * (n - 2 * k - 1),
+        lambda n, m, k, a: (4 * (a - k) * (n - k - a), (n - 2 * k) * (n - 2 * k - 1)),
+        lambda n, m, k, a: ((n - k - a) * (m - a), (a + 1 - k) * (n + m - a)),
+    ),
+    "nonzero": (
+        lambda n, m, k, a, off=0: -4 * (a - n - m) * (a - k) * (
+            (2 + off) * a * a + (2 * m - 2 * n) * a + k * n - m * n + n
+        ),
+        lambda n, m, k: (n - 2 * k - 1) * (n - 2 * k - 2),
+        lambda n, m, k, a: (4 * (a - k) * (n - 1 - k - a), (n - 1 - 2 * k) * (n - 2 * k - 2)),
+        lambda n, m, k, a: ((n - 1 - k - a) * (m - 1 - a), (a + 1 - k) * (n - 1 + m - a)),
+    ),
+    "positive": (
+        lambda n, m, k, a, off=0: off * a * a,
+        lambda n, m, k: 1,
+        lambda n, m, k, a: (m - 1 - k, n - 1 + m - k),
+        lambda n, m, k, a: (0, 1),
+    ),
+}
+
+
+class _Poly:
+    """A polynomial in (n, m, k, a) with integer coefficients: a dict from
+    exponent tuples to nonzero coefficients, with just the ring arithmetic
+    that the coefficient and certificate functions use."""
+
+    def __init__(self, terms):
+        self.terms = {e: c for e, c in terms.items() if c}
+
+    @staticmethod
+    def lift(x):
+        return x if isinstance(x, _Poly) else _Poly({(0, 0, 0, 0): x})
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for e, c in _Poly.lift(other).terms.items():
+            terms[e] = terms.get(e, 0) + c
+        return _Poly(terms)
+
+    def __mul__(self, other):
+        terms = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in _Poly.lift(other).terms.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                terms[e] = terms.get(e, 0) + c1 * c2
+        return _Poly(terms)
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, other):
+        return self + -_Poly.lift(other)
+
+    def __rsub__(self, other):
+        return _Poly.lift(other) - self
+
+    __radd__ = __add__
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        return self.terms == _Poly.lift(other).terms
+
+
+_N, _M, _K, _A = (_Poly({tuple(int(i == j) for j in range(4)): 1}) for i in range(4))
+
+
+def _telescopes(recurrence, certificate, off=0) -> bool:
+    """Whether P0 + P1 r1(k) + P2 r1(k) r1(k+1) = R(a+1) s - R(a), times
+    every denominator, holds as a polynomial identity."""
+    r_num, r_den, r1, s = certificate
+    p0, p1, p2 = recurrence(_N, _M, _K)
+    r1_num, d1 = r1(_N, _M, _K, _A)
+    r1_next, d2 = r1(_N, _M, _K + 1, _A)
+    s_num, s_den = s(_N, _M, _K, _A)
+    rd = r_den(_N, _M, _K)
+    lhs = (p0 * d1 * d2 + p1 * r1_num * d2 + p2 * r1_num * r1_next) * s_den * rd
+    rhs = (r_num(_N, _M, _K, _A + 1, off) * s_num - r_num(_N, _M, _K, _A, off) * s_den) * d1 * d2
+    return lhs == rhs
+
+
+def test_recurrence_certificates():
+    assert set(_CERTIFICATES) == set(orderpoly._RECURRENCE)
+    for mode, certificate in _CERTIFICATES.items():
+        assert _telescopes(orderpoly._RECURRENCE[mode], certificate), mode
+
+
+def test_recurrence_certificates_negative_control():
+    # one certificate coefficient off by one, or one recurrence coefficient
+    # off by one, and the identity no longer holds
+    for mode, certificate in _CERTIFICATES.items():
+        assert not _telescopes(orderpoly._RECURRENCE[mode], certificate, off=1), mode
+        honest = orderpoly._RECURRENCE[mode]
+        for i in range(3):
+            def bumped(n, m, k, i=i):
+                row = list(honest(n, m, k))
+                row[i] = row[i] + 1
+                return row
+
+            assert not _telescopes(bumped, certificate), (mode, i)
+
+
+def _summand(mode, n, m, k, a):
+    def c(x, y):
+        return comb(x, y) if 0 <= y <= x else 0
+
+    if mode == "all":
+        return 4**k * c(n - 2 * k, a - k) * c(n + m - a, n)
+    if mode == "nonzero":
+        return 2 * 4**k * c(n - 1 - 2 * k, a - k) * c(n - 1 + m - a, n)
+    return c(n - 1 + m - k, n) if a == 0 else 0
+
+
+def test_recurrence_telescopes_pointwise():
+    """(*) in exact arithmetic at every a around the support, zeros
+    included, and the ratios the polynomial identity assumes."""
+    for mode, (r_num, r_den, r1, s) in _CERTIFICATES.items():
+        for n, m in itertools.product(range(4, 15), range(13)):
+            top = min(m, len(statistic_range(mode_statistic(mode), n)) - 1)
+            for k in range(top - 1):
+                p0, p1, p2 = orderpoly._RECURRENCE[mode](n, m, k)
+                for a in range(-2, n + m + 3):
+                    f = [_summand(mode, n, m, k + j, a) for j in range(3)]
+                    g0 = Fraction(r_num(n, m, k, a) * f[0], r_den(n, m, k))
+                    g1 = Fraction(r_num(n, m, k, a + 1) * _summand(mode, n, m, k, a + 1),
+                                  r_den(n, m, k))
+                    assert p0 * f[0] + p1 * f[1] + p2 * f[2] == g1 - g0, (mode, n, m, k, a)
+                    if f[0]:
+                        num, den = r1(n, m, k, a)
+                        assert f[1] * den == f[0] * num, (mode, n, m, k, a)
+                        num, den = s(n, m, k, a)
+                        assert _summand(mode, n, m, k, a + 1) * den == f[0] * num
