@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -38,6 +39,7 @@ __all__ = [
     "count_table",
     "cycle_count_series",
     "cycle_distribution",
+    "exact_str",
     "expected_fixed_points",
     "f_im",
     "linf_distance",
@@ -150,6 +152,21 @@ def _linf(n, counts, ops, total, masses) -> Fraction:
     return Fraction(max(abs(nfact * op - total) for op in (ops[0], ops[-1])), total)
 
 
+def exact_str(value: int | Fraction) -> str:
+    """str(value) for an int or Fraction of any size.  Decimal writes an
+    int's digits exactly and is not held to the interpreter's limit on
+    int-to-string conversion (4,300 digits by default), which distances
+    and expectations pass from about n = 1000.
+
+    >>> exact_str(Fraction(-3, 4)), exact_str(Fraction(10**5000, 3))[:4]
+    ('-3/4', '1000')
+    """
+    num, den = value.as_integer_ratio()
+    if den == 1:
+        return str(Decimal(num))
+    return str(Decimal(num)) + "/" + str(Decimal(den))
+
+
 @dataclass(frozen=True)
 class AsymptoticReport:
     """Exact distances at m = round(c n^(3/2)) next to the scaling-limit
@@ -169,9 +186,9 @@ class AsymptoticReport:
             "n": self.n,
             "c": self.c,
             "m": self.m,
-            "tv": str(self.tv),
-            "sep": str(self.sep),
-            "linf": str(self.linf),
+            "tv": exact_str(self.tv),
+            "sep": exact_str(self.sep),
+            "linf": exact_str(self.linf),
             "tv_float": float(self.tv),
             "sep_float": float(self.sep),
             "linf_float": float(self.linf),

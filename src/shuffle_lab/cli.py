@@ -14,6 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import analysis, models, orderpoly, ppartitions
+from .analysis import exact_str
 from .permutations import descents, format_permutation, peaks
 
 __all__ = ["main", "entry"]
@@ -28,11 +29,15 @@ _DISTANCES = {
 
 
 def format_fixed(value: Fraction, places: int = 4) -> str:
-    """Exact decimal rendering, round half to even at the last place."""
-    scaled = round(value * 10**places)  # Fraction.__round__ is half-even
-    sign = "-" if scaled < 0 else ""
-    scaled = abs(scaled)
-    return f"{sign}{scaled // 10**places}.{scaled % 10**places:0{places}d}"
+    """Exact decimal rendering, round half to even at the last place, in
+    integer arithmetic (Fraction arithmetic took most of a cycles table's
+    output time)."""
+    num, den = value.as_integer_ratio()
+    scaled, rest = divmod(num * 10**places, den)
+    if 2 * rest > den or 2 * rest == den and scaled % 2:
+        scaled += 1
+    whole, part = divmod(abs(scaled), 10**places)
+    return f"{'-' if scaled < 0 else ''}{whole}.{part:0{places}d}"
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -113,7 +118,7 @@ def cmd_tv_table(args: argparse.Namespace) -> int:
     }
 
     def render(value: Fraction) -> str:
-        return str(value) if args.exact else format_fixed(value)
+        return exact_str(value) if args.exact else format_fixed(value)
 
     if args.format == "json":
         payload = {
@@ -245,7 +250,8 @@ def cmd_cycles(args: argparse.Namespace) -> int:
     table = analysis.cycle_distribution(spec)
     if args.format == "json":
         rows = [
-            {"type": list(part), "prob_num": str(p.numerator), "prob_den": str(p.denominator)}
+            {"type": list(part), "prob_num": exact_str(p.numerator),
+             "prob_den": exact_str(p.denominator)}
             for part, p in table.items()
         ]
         payload = {"model": spec.model, "n": spec.n, "m": spec.m, "types": rows}
@@ -254,13 +260,14 @@ def cmd_cycles(args: argparse.Namespace) -> int:
         lines = ["type,prob_num,prob_den,prob"]
         for part, p in table.items():
             lines.append(
-                f"{'+'.join(map(str, part))},{p.numerator},{p.denominator},{format_fixed(p, 6)}"
+                f"{'+'.join(map(str, part))},{exact_str(p.numerator)},"
+                f"{exact_str(p.denominator)},{format_fixed(p, 6)}"
             )
         text = "\n".join(lines) + "\n"
     else:
         width = max(len("+".join(map(str, part))) for part in table)
         lines = [
-            f"{'+'.join(map(str, part)).ljust(width)}  {format_fixed(p, 6)}  ({p})"
+            f"{'+'.join(map(str, part)).ljust(width)}  {format_fixed(p, 6)}  ({exact_str(p)})"
             for part, p in table.items()
         ]
         text = "\n".join(lines) + "\n"
@@ -274,15 +281,21 @@ def cmd_fixed_points(args: argparse.Namespace) -> int:
         payload = {
             "n": args.n,
             "m": args.m,
-            "expected_num": str(value.numerator),
-            "expected_den": str(value.denominator),
+            "expected_num": exact_str(value.numerator),
+            "expected_den": exact_str(value.denominator),
             "expected": float(value),
         }
         text = json.dumps(payload, indent=2) + "\n"
     elif args.format == "csv":
-        text = f"n,m,expected_num,expected_den,expected\n{args.n},{args.m},{value.numerator},{value.denominator},{format_fixed(value, 6)}\n"
+        text = (
+            f"n,m,expected_num,expected_den,expected\n{args.n},{args.m},"
+            f"{exact_str(value.numerator)},{exact_str(value.denominator)},{format_fixed(value, 6)}\n"
+        )
     else:
-        text = f"expected fixed points after one lazy pass (n={args.n}, m={args.m}): {value} = {format_fixed(value, 6)}\n"
+        text = (
+            f"expected fixed points after one lazy pass (n={args.n}, m={args.m}): "
+            f"{exact_str(value)} = {format_fixed(value, 6)}\n"
+        )
     _emit(text, args.output)
     return 0
 

@@ -7,8 +7,10 @@ returns an IdentityReport.
 
 Everything is exact integer arithmetic.  For a chain labeled by a
 permutation, the count depends only on (n, statistic, bound m), with the
-statistic of the mode (ppartitions.MODES): op_lazy for "all", op_star for
-"nonzero", op_plus for "positive".
+statistic of the mode (ppartitions.MODES): lpk for "all", pk for
+"nonzero", des for "positive".  Over m, class k has the generating
+function scale t^shift (1+t)^deg / (1-t)^(n+1), one (scale, shift, deg)
+row per mode in ``_NUMERATOR``; op_chain reads its t^m coefficient.
 
 Out-of-range statistic values give 0; statistic_range tells the caller
 which k are structurally meaningful.
@@ -38,11 +40,8 @@ __all__ = [
     "gf_coefficients",
     "mode_statistic",
     "op_chain",
-    "op_lazy",
     "op_of_perm",
-    "op_plus",
     "op_poset",
-    "op_star",
     "op_vector",
     "statistic_range",
     "EXHAUSTIVE_CAP",
@@ -68,62 +67,48 @@ def statistic_range(kind: str, n: int) -> range:
     raise ValueError(f"unknown statistic kind: {kind!r}")
 
 
-def op_lazy(n: int, k: int, m: int) -> int:
-    """Bounded chain partitions over the full alphabet, k = lpk.  The
-    terms with a > m vanish, so the sum stops at min(n - k, m).
-
-    >>> op_lazy(2, 0, 1), op_lazy(2, 1, 1)
-    (5, 4)
-    """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if k not in statistic_range("lpk", n):
-        return 0
-    return 4**k * sum(
-        comb(n + m - a, n) * comb(n - 2 * k, a - k)
-        for a in range(k, min(n - k, m) + 1)
-    )
-
-
-def op_star(n: int, k: int, m: int) -> int:
-    """Bounded chain partitions avoiding 0, k = pk.  The terms with
-    a >= m vanish, so the sum stops at min(n - k, m) - 1."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if k not in statistic_range("pk", n):
-        return 0
-    if n == 0:
-        return 1  # the empty map
-    return 2 * 4**k * sum(
-        comb(n - 1 + m - a, n) * comb(n - 1 - 2 * k, a - k)
-        for a in range(k, min(n - k, m))
-    )
-
-
-def op_plus(n: int, k: int, m: int) -> int:
-    """Bounded chain partitions over plain positive values, k = des.
-
-    >>> op_plus(2, 1, 1)
-    0
-    """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if k not in statistic_range("des", n):
-        return 0
-    if n == 0:
-        return 1  # the empty map
-    return comb(n - 1 + m - k, n)
-
-
 def op_chain(n: int, k: int, m: int, mode: str) -> int:
-    """Dispatch to op_lazy/op_star/op_plus by mode."""
-    if mode == "all":
-        return op_lazy(n, k, m)
-    if mode == "nonzero":
-        return op_star(n, k, m)
-    if mode == "positive":
-        return op_plus(n, k, m)
-    raise ValueError(f"unknown mode: {mode!r}")
+    """Bounded partitions of a chain on n points whose labeling has
+    statistic k (the mode's, see mode_statistic): the t^m coefficient of
+
+        scale t^shift (1+t)^deg / (1-t)^(n+1),
+
+    (scale, shift, deg) the mode's row of ``_NUMERATOR``.  That is
+
+        scale * sum_{i <= min(deg, x - n)} C(deg, i) C(x - i, n),
+
+    x = n + m - shift, and 0 when x < n.  Each term comes from the one
+    before: C(deg, i+1) C(x-i-1, n) is C(deg, i) C(x-i, n) times
+    (deg - i)(x - i - n), divided exactly by (i + 1)(x - i).  The empty
+    chain has one map, the empty one, in every mode.
+
+    >>> op_chain(2, 0, 1, "all"), op_chain(2, 1, 1, "all"), op_chain(2, 1, 1, "positive")
+    (5, 4, 0)
+    """
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    if k not in statistic_range(mode_statistic(mode), n):
+        return 0
+    if n == 0:
+        return 1
+    scale, shift, deg = _NUMERATOR[mode](n, k)
+    x = n + m - shift
+    if x < n:
+        return 0
+    term = total = comb(x, n)
+    for i in range(min(deg, x - n)):
+        term = term * ((deg - i) * (x - i - n)) // ((i + 1) * (x - i))
+        total += term
+    return scale * total
+
+
+# (scale, shift, deg) of the chain-count generating function over m,
+# scale t^shift (1+t)^deg / (1-t)^(n+1), for class k of each mode
+_NUMERATOR = {
+    "all": lambda n, k: (4**k, k, n - 2 * k),
+    "nonzero": lambda n, k: (2 * 4**k, k + 1, n - 1 - 2 * k),
+    "positive": lambda n, k: (1, k + 1, 0),
+}
 
 
 # P0(k), P1(k), P2(k) of the class-vector recurrence
@@ -154,16 +139,16 @@ def op_vector(n: int, m: int, mode: str) -> list[int]:
 
     "positive" is C(n - 1 + m - k, n), and the ratio of consecutive terms,
     C(N, n) / C(N - 1, n) = N / (N - n) with N = n - 1 + m - k, gives its
-    row (m - 1 - k, -(n - 1 + m - k), 0).  Over m the "all" chain counts
-    have generating function (see gf_coefficients)
+    row (m - 1 - k, -(n - 1 + m - k), 0).  Over m, the ``_NUMERATOR`` rows
+    give "all" the generating function
 
-        (4t)^k (1+t)^(n-2k) / (1-t)^(n+1)
+        4^k t^k (1+t)^(n-2k) / (1-t)^(n+1)
             = (1+t)^n / (1-t)^(n+1) * (4t / (1+t)^2)^k,
 
-    and the "nonzero" ones 2t (1+t)^(n-1) / (1-t)^(n+1) times the same
-    k-th power: every class shares one series up to that factor.  So
-    op(k) is a sum over a of a term hypergeometric in k and a, such as
-    4^k C(n - 2k, a - k) C(n + m - a, n) for "all", and creative
+    and "nonzero" 2t (1+t)^(n-1) / (1-t)^(n+1) times the same k-th power:
+    every class shares one series up to that factor.  So op(k) is the
+    op_chain sum, over a = k + i, of a term hypergeometric in k and a, such
+    as 4^k C(n - 2k, a - k) C(n + m - a, n) for "all", and creative
     telescoping (Zeilberger's algorithm; Petkovsek, Wilf and Zeilberger,
     "A = B", 1996) gives a recurrence in k with polynomial coefficients.
     Every row is proved (certificate in tests): tests/test_orderpoly.py
@@ -217,38 +202,15 @@ def op_poset(poset: Poset, m: int, mode: str = "all") -> int:
 
 def gf_coefficients(n: int, k: int, mode: str, terms: int) -> list[int]:
     """Coefficients of t^0..t^(terms-1) in the chain-count generating
-    function over m, computed by truncated polynomial arithmetic (an
-    independent route to op_chain(n, k, m)):
+    function over m (n >= 1), the column of op_chain over m:
 
-        all:      (4t)^k (1+t)^(n-2k)   / (1-t)^(n+1)
-        nonzero:  (4t)^(k+1) (1+t)^(n-1-2k) / (2 (1-t)^(n+1))
-        positive: t^(k+1)               / (1-t)^(n+1)
-
-    These hold for n >= 1 only.
+        all:      4^k t^k (1+t)^(n-2k) / (1-t)^(n+1)
+        nonzero:  2 4^k t^(k+1) (1+t)^(n-1-2k) / (1-t)^(n+1)
+        positive: t^(k+1) / (1-t)^(n+1)
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if k not in statistic_range(mode_statistic(mode), n):
-        return [0] * terms
-    numer = [0] * terms
-    if mode == "all":
-        shift, scale, binom_deg, half = k, 4**k, n - 2 * k, False
-    elif mode == "nonzero":
-        shift, scale, binom_deg, half = k + 1, 4 ** (k + 1), n - 1 - 2 * k, True
-    else:
-        shift, scale, binom_deg, half = k + 1, 1, 0, False
-    for a in range(binom_deg + 1):
-        if shift + a < terms:
-            numer[shift + a] = scale * comb(binom_deg, a)
-    out = []
-    for j in range(terms):
-        c = sum(numer[a] * comb(n + j - a, n) for a in range(j + 1))
-        if half:
-            if c % 2:
-                raise ArithmeticError("nonzero-mode coefficient is not even")
-            c //= 2
-        out.append(c)
-    return out
+    return [op_chain(n, k, j, mode) for j in range(terms)]
 
 
 def convolved_bound(k: int, l: int, mode: str) -> int:

@@ -39,9 +39,10 @@ Perm = tuple[int, ...]
 
 def check_permutation(p: Iterable[int]) -> Perm:
     """Return ``p`` as a tuple, raising ValueError when it is not a
-    permutation of {1..n}."""
+    permutation of {1..n} or has an entry that is not an int (bools and
+    floats included)."""
     t = tuple(p)
-    if sorted(t) != list(range(1, len(t) + 1)):
+    if set(map(type, t)) - {int} or sorted(t) != list(range(1, len(t) + 1)):
         raise ValueError(f"not a permutation of 1..{len(t)}: {t!r}")
     return t
 

@@ -20,6 +20,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import total_ordering
 
@@ -173,6 +174,31 @@ def recurrence_count_rows(kind: str):
 def recurrence_count_table(n: int, kind: str) -> tuple[int, ...]:
     """Row n of recurrence_count_rows."""
     return next(itertools.islice(recurrence_count_rows(kind), n - 1, None))
+
+
+def comb_op_chain(n: int, k: int, m: int, mode: str) -> int:
+    """op_chain by one math.comb sum per mode, both binomials of every
+    term evaluated afresh: for "all" the sum over a of
+    4^k C(n + m - a, n) C(n - 2k, a - k), for "nonzero" of
+    2 4^k C(n - 1 + m - a, n) C(n - 1 - 2k, a - k), and for "positive"
+    the single term C(n - 1 + m - k, n)."""
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    if k not in statistic_range(mode_statistic(mode), n):
+        return 0
+    if n == 0:
+        return 1  # the empty map
+    if mode == "all":
+        return 4**k * sum(
+            math.comb(n + m - a, n) * math.comb(n - 2 * k, a - k)
+            for a in range(k, min(n - k, m) + 1)
+        )
+    if mode == "nonzero":
+        return 2 * 4**k * sum(
+            math.comb(n - 1 + m - a, n) * math.comb(n - 1 - 2 * k, a - k)
+            for a in range(k, min(n - k, m))
+        )
+    return math.comb(n - 1 + m - k, n)
 
 
 def pascal_op_vector(n: int, m: int, mode: str) -> list[int]:
@@ -514,6 +540,13 @@ def parse_permutation(text: str) -> Perm:
     else:
         values = [int(ch) for ch in text]
     return check_permutation(values)
+
+
+def parse_exact(text: str) -> Fraction:
+    """The Fraction written as "a/b" or "a", read through Decimal, which
+    is not held to the int-from-string digit limit that int() is."""
+    num, _, den = text.partition("/")
+    return Fraction(int(Decimal(num)), int(Decimal(den or "1")))
 
 
 class ScriptedRNG:

@@ -16,6 +16,7 @@ from shuffle_lab.analysis import (
     count_table,
     cycle_count_series,
     cycle_distribution,
+    exact_str,
     expected_fixed_points,
     f_im,
     linf_distance,
@@ -31,6 +32,7 @@ from .oracles import (
     ProductSeries,
     brute_statistic_counts,
     fraction_distances,
+    parse_exact,
     pow_product_cycle_series,
     recurrence_count_rows,
 )
@@ -185,6 +187,20 @@ def test_asymptotic_compare():
     for c in (0, -1.0):
         with pytest.raises(ValueError, match="c must be positive"):
             asymptotic_compare(10, c)
+
+
+def test_exact_str():
+    # str() wherever str() works, so every output written before is unchanged
+    for value in [0, 7, -12, 10**4000, -(3**8000) // 7]:
+        assert exact_str(value) == str(value)
+    for num, den in itertools.product((-5, 0, 1, 3**900), (1, 2, 9, 10**300)):
+        assert exact_str(Fraction(num, den)) == str(Fraction(num, den))
+    # past the limit, where str() raises
+    report = asymptotic_compare(1000, 0.5)
+    payload = report.to_dict()
+    assert max(len(payload[d]) for d in ("tv", "sep", "linf")) > 4300
+    for d in ("tv", "sep", "linf"):
+        assert parse_exact(payload[d]) == getattr(report, d)
 
 
 @pytest.mark.parametrize("n, c", [(52, 0.5), (52, 1.0), (52, 2.0), (200, 1.0)])

@@ -3,6 +3,7 @@ exit codes, the console script, and the public names of each module."""
 
 import ast
 import importlib
+import itertools
 import json
 import os
 import pkgutil
@@ -21,7 +22,7 @@ from shuffle_lab.cli import format_fixed, main
 from shuffle_lab.models import ShuffleSpec
 from shuffle_lab.permutations import descents, inverse, left_peaks, peaks
 
-from .oracles import parse_permutation
+from .oracles import parse_exact, parse_permutation
 
 
 def run(capsys, *argv):
@@ -38,6 +39,13 @@ def test_format_fixed():
     # ties round half to even at the last kept digit
     assert format_fixed(Fraction(1, 20000)) == "0.0000"
     assert format_fixed(Fraction(3, 20000)) == "0.0002"
+    # the Fraction rounding it replaced, ties of both parities included
+    values = [Fraction(a, b) for a in range(-60, 61) for b in (1, 2, 3, 7, 8, 2 * 10**6, 10**7)]
+    for value, places in itertools.product(values, (0, 1, 4, 6)):
+        scaled = round(value * 10**places)
+        sign, scaled = "-" if scaled < 0 else "", abs(scaled)
+        want = f"{sign}{scaled // 10**places}.{scaled % 10**places:0{places}d}"
+        assert format_fixed(value, places) == want, (value, places)
 
 
 def test_simulate_is_deterministic(capsys):
@@ -326,6 +334,28 @@ def test_fixed_points_formats(capsys):
     payload = json.loads(out)
     assert payload["expected_den"] == str(21**52)
     assert payload["expected"] == pytest.approx(1 + 2 / (21**2 - 1), rel=1e-6)
+
+
+def test_exact_output_past_the_int_string_limit(capsys):
+    # numerators and denominators of several thousand digits, past the
+    # interpreter's default int-to-string limit of 4,300
+    code, out, err = run(capsys, "tv-table", "--n", "1000", "--m", "31623",
+                         "--model", "shelf-lazy", "--exact")
+    assert code == 0 and not err
+    label, value = out.splitlines()[1].split()
+    assert label == "Lazy" and len(value) > 4300
+    assert parse_exact(value) == tv_distance(ShuffleSpec(1000, 31623, "shelf-lazy"))
+    want = analysis.expected_fixed_points(3500, 10)
+    code, out, _ = run(capsys, "fixed-points", "--n", "3500", "--m", "10", "--format", "json")
+    payload = json.loads(out)
+    assert code == 0 and len(payload["expected_den"]) > 4300
+    assert parse_exact(payload["expected_num"] + "/" + payload["expected_den"]) == want
+    code, out, _ = run(capsys, "fixed-points", "--n", "3500", "--m", "10", "--format", "csv")
+    assert code == 0
+    assert parse_exact("/".join(out.splitlines()[1].split(",")[2:4])) == want
+    code, out, _ = run(capsys, "fixed-points", "--n", "3500", "--m", "10")
+    assert code == 0
+    assert parse_exact(out.split(": ")[1].split(" = ")[0]) == want
 
 
 def test_unknown_model_is_usage_error(capsys):

@@ -21,11 +21,8 @@ from shuffle_lab.orderpoly import (
     gf_coefficients,
     mode_statistic,
     op_chain,
-    op_lazy,
     op_of_perm,
-    op_plus,
     op_poset,
-    op_star,
     op_vector,
     statistic_range,
     verify_decomposition,
@@ -34,7 +31,12 @@ from shuffle_lab.permutations import all_permutations, compose, statistic
 from shuffle_lab.posets import Poset, all_posets
 from shuffle_lab.ppartitions import MODES, enumerate_bounded
 
-from .oracles import brute_statistic_counts, pascal_op_vector, product_loop_decomposition
+from .oracles import (
+    brute_statistic_counts,
+    comb_op_chain,
+    pascal_op_vector,
+    product_loop_decomposition,
+)
 
 
 def test_mode_statistic():
@@ -56,16 +58,16 @@ def test_statistic_range():
 
 
 def test_op_examples():
-    assert op_lazy(2, 0, 1) == 5
-    assert op_lazy(2, 1, 1) == 4
-    assert op_star(1, 0, 1) == 2
-    assert op_plus(2, 1, 1) == 0
+    assert op_chain(2, 0, 1, "all") == 5
+    assert op_chain(2, 1, 1, "all") == 4
+    assert op_chain(1, 0, 1, "nonzero") == 2
+    assert op_chain(2, 1, 1, "positive") == 0
     for n in range(1, 7):
-        assert op_lazy(n, 0, 0) == 1
+        assert op_chain(n, 0, 0, "all") == 1
         for k in range(1, n // 2 + 1):
-            assert op_lazy(n, k, 0) == 0
+            assert op_chain(n, k, 0, "all") == 0
     for n, m in itertools.product(range(1, 6), range(5)):
-        assert op_plus(n, 0, m) == comb(n - 1 + m, n)
+        assert op_chain(n, 0, m, "positive") == comb(n - 1 + m, n)
 
 
 def test_op_star_small_chain_is_zero():
@@ -74,14 +76,14 @@ def test_op_star_small_chain_is_zero():
     # step somewhere it cannot have one
     chain = Poset.chain((1, 3, 2))
     assert len(enumerate_bounded(chain, 1, "nonzero")) == 0
-    assert op_star(3, 1, 1) == 0
+    assert op_chain(3, 1, 1, "nonzero") == 0
 
 
 def test_out_of_range_statistic_counts_zero():
-    assert op_lazy(4, 3, 5) == 0
-    assert op_lazy(4, -1, 5) == 0
-    assert op_star(4, 2, 5) == 0
-    assert op_plus(3, 3, 5) == 0
+    assert op_chain(4, 3, 5, "all") == 0
+    assert op_chain(4, -1, 5, "all") == 0
+    assert op_chain(4, 2, 5, "nonzero") == 0
+    assert op_chain(3, 3, 5, "positive") == 0
     for mode in MODES:
         with pytest.raises(ValueError):
             op_chain(3, 0, -1, mode)
@@ -98,6 +100,22 @@ def test_closed_forms_equal_enumeration_on_chains():
                     assert op_of_perm(p, m, mode) == len(
                         enumerate_bounded(chain, m, mode)
                     )
+
+
+def test_op_chain_equals_comb_sums():
+    # every class, in range or not, of every n < 40 at every m < 45
+    for n, mode in itertools.product(range(40), MODES):
+        for k, m in itertools.product(range(-1, n // 2 + 3), range(45)):
+            assert op_chain(n, k, m, mode) == comb_op_chain(n, k, m, mode), (n, k, m, mode)
+
+
+def test_op_chain_equals_comb_sums_large_n():
+    # the first, middle and last classes, m at and around them and far past n
+    for n, mode in itertools.product(range(201), MODES):
+        last = len(statistic_range(mode_statistic(mode), n)) - 1
+        for k in {0, 1, last // 2, last - 1, last}:
+            for m in {0, 1, 2, max(k, 0), k + 1, n, round(n**1.5), 3 * n * n}:
+                assert op_chain(n, k, m, mode) == comb_op_chain(n, k, m, mode), (n, k, m, mode)
 
 
 def test_op_vector_equals_per_class_op_chain():
@@ -172,9 +190,9 @@ def test_op_poset_antichain_and_chains():
         assert op_poset(anti, m, "nonzero") == (2 * m) ** n
         assert op_poset(anti, m, "positive") == m**n
     v_poset = Poset(3, [(1, 2), (3, 2)])
-    assert op_poset(v_poset, 1, "all") == op_lazy(3, statistic((1, 3, 2), "lpk"), 1) + op_lazy(
-        3, statistic((3, 1, 2), "lpk"), 1
-    )
+    assert op_poset(v_poset, 1, "all") == op_chain(
+        3, statistic((1, 3, 2), "lpk"), 1, "all"
+    ) + op_chain(3, statistic((3, 1, 2), "lpk"), 1, "all")
 
 
 def test_op_poset_equals_enumeration_count():
@@ -192,7 +210,7 @@ def test_generating_function_matches_closed_forms():
         for mode in MODES:
             for k in statistic_range(mode_statistic(mode), n):
                 coefficients = gf_coefficients(n, k, mode, 8)
-                assert coefficients == [op_chain(n, k, m, mode) for m in range(8)]
+                assert coefficients == [comb_op_chain(n, k, m, mode) for m in range(8)]
     # out-of-range k gives the zero series
     assert gf_coefficients(4, 3, "all", 5) == [0] * 5
     # the series hold for n >= 1 only, while the empty chain has one map
@@ -313,7 +331,7 @@ def test_check_monotonicity(monkeypatch):
             values = op_vector(n, m, mode)
             assert values == sorted(values, reverse=True)
             assert report.checked == len(values) and report.first_mismatch is None
-    assert op_vector(8, 3, "all")[0] == op_lazy(8, 0, 3)
+    assert op_vector(8, 3, "all")[0] == op_chain(8, 0, 3, "all")
     # an increasing class vector fails at its first rise
     monkeypatch.setattr(orderpoly, "op_vector", lambda n, m, mode: [3, 5, 4])
     report = check_monotonicity(8, 3, "all")

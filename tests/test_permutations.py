@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from shuffle_lab.models import ShuffleSpec, exact_prob
 from shuffle_lab.permutations import (
     all_permutations,
     check_permutation,
@@ -136,6 +137,8 @@ def test_format_parse_round_trip():
 
 
 def test_check_permutation_rejects_non_permutations():
-    for bad in [(1, 1), (2, 3), (0, 1)]:
+    for bad in [(1, 1), (2, 3), (0, 1), (True, 2), (2.0, 1)]:
         with pytest.raises(ValueError):
             check_permutation(bad)
+    with pytest.raises(ValueError):
+        exact_prob((2.0, 1), ShuffleSpec(2, 1, "riffle-updown"))
