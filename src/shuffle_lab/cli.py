@@ -265,10 +265,11 @@ def cmd_cycles(args: argparse.Namespace) -> int:
             )
         text = "\n".join(lines) + "\n"
     else:
-        width = max(len("+".join(map(str, part))) for part in table)
+        labels = ["+".join(map(str, part)) for part in table]
+        width = max(map(len, labels))
         lines = [
-            f"{'+'.join(map(str, part)).ljust(width)}  {format_fixed(p, 6)}  ({exact_str(p)})"
-            for part, p in table.items()
+            f"{label.ljust(width)}  {format_fixed(p, 6)}  ({exact_str(p)})"
+            for label, p in zip(labels, table.values())
         ]
         text = "\n".join(lines) + "\n"
     _emit(text, args.output)

@@ -5,8 +5,9 @@ The oracles recompute quantities from raw definitions or by the slow
 routes the library replaced: order preservation is checked over the full
 relation (not just covering pairs), statistics are counted by scanning
 windows, bounded-partition sets come from filtering the complete
-value-tuple product, products in S_n are taken one pair at a time, and
-the reference samplers sort the placement map and scan the pile sizes.
+value-tuple product, products in S_n are taken one pair at a time or
+counted into one Counter per class pair, and the reference samplers sort
+the placement map and scan the pile sizes.
 
 The library stores a barred value as its integer rank.  The P-partition
 oracles work on BarredInt values instead (magnitude and bar), so they do
@@ -30,6 +31,7 @@ from shuffle_lab.analysis import f_im
 from shuffle_lab.models import ExactDist, ShuffleSpec, convolve
 from shuffle_lab.orderpoly import (
     IdentityReport,
+    _adjacent_swaps,
     convolved_bound,
     mode_statistic,
     op_chain,
@@ -268,6 +270,53 @@ def product_loop_decomposition(
             mismatch = {"pi": list(p), "lhs": str(total), "rhs": str(rhs)}
             return IdentityReport("decomposition", params, False, checked, mismatch)
     return IdentityReport("decomposition", params, True, checked)
+
+
+def right_multiplication_tables(perms: list[Perm]):
+    """(t, table) for every t in S_n, where ``perms`` lists S_n and
+    perms[table[a]] == compose(perms[a], t).
+
+    Consecutive t differ by one adjacent swap s, and compose(s', t s) is
+    compose(s', t) with two entries swapped, so each table is the previous
+    one read through the swap's table."""
+    n = len(perms[0])
+    index = {p: a for a, p in enumerate(perms)}
+    swap_tables = []
+    for a in range(n - 1):
+        positions = list(range(n))
+        positions[a], positions[a + 1] = a + 1, a
+        swap_tables.append([index[tuple(p[q] for q in positions)] for p in perms])
+    t = list(range(1, n + 1))
+    table = list(range(len(perms)))
+    yield tuple(t), table
+    for a in _adjacent_swaps(n):
+        t[a], t[a + 1] = t[a + 1], t[a]
+        table = [swap_tables[a][c] for c in table]
+        yield tuple(t), table
+
+
+def counter_class_products(n: int, kind: str):
+    """orderpoly._class_products by one Counter per class pair (i, j):
+    for every t of class j, add the products compose(s, t) of every s of
+    class i, then read each pi's counts off in lexicographic order and
+    number its distinct rows in order of first appearance."""
+    perms = list(all_permutations(n))
+    stats = [statistic(p, kind) for p in perms]
+    values = statistic_range(kind, n)
+    members: list[list[int]] = [[] for _ in values]
+    for a, stat in enumerate(stats):
+        members[stat].append(a)
+    counts = {pair: Counter() for pair in itertools.product(values, values)}
+    for t, table in right_multiplication_tables(perms):
+        j = statistic(t, kind)
+        for i in values:
+            counts[i, j].update(table[a] for a in members[i])
+    row_number: dict[tuple[int, ...], int] = {}
+    entries = []
+    for a, (p, stat) in enumerate(zip(perms, stats)):
+        row = tuple(count[a] for count in counts.values())
+        entries.append((p, stat, row_number.setdefault(row, len(row_number))))
+    return tuple(row_number), tuple(entries)
 
 
 def compose_loop_convolution(n: int, k: int, l: int, model: str) -> IdentityReport:

@@ -27,15 +27,17 @@ from shuffle_lab.orderpoly import (
     statistic_range,
     verify_decomposition,
 )
-from shuffle_lab.permutations import all_permutations, compose, statistic
+from shuffle_lab.permutations import all_permutations, compose, inverse, statistic
 from shuffle_lab.posets import Poset, all_posets
 from shuffle_lab.ppartitions import MODES, enumerate_bounded
 
 from .oracles import (
     brute_statistic_counts,
     comb_op_chain,
+    counter_class_products,
     pascal_op_vector,
     product_loop_decomposition,
+    right_multiplication_tables,
 )
 
 
@@ -276,19 +278,38 @@ def test_verify_decomposition_equals_product_loop():
 
 
 def test_right_multiplication_tables_equal_compose():
-    # the tables behind the class products are compose(s, t)
+    # the oracle's tables behind the class products are compose(s, t)
     for n in range(1, 5):
         perms = list(all_permutations(n))
         seen = []
-        for t, table in orderpoly._right_multiplication_tables(perms):
+        for t, table in right_multiplication_tables(perms):
             seen.append(t)
             assert [perms[a] for a in table] == [compose(s, t) for s in perms], t
         assert sorted(seen) == perms
 
 
+def test_statistic_rows_walk_every_inverse_once():
+    # row c holds stat(compose(p, u)) for every p, u the inverse of perms[c]
+    for n, kind in itertools.product(range(1, 5), ("lpk", "pk", "des")):
+        perms = list(all_permutations(n))
+        stats = [statistic(p, kind) for p in perms]
+        seen = []
+        for c, row in orderpoly._statistic_rows(perms, stats):
+            seen.append(c)
+            u = inverse(perms[c])
+            assert list(row) == [statistic(compose(p, u), kind) for p in perms], (kind, u)
+        assert sorted(seen) == list(range(len(perms))), (n, kind)
+
+
+def test_class_products_equal_counter_oracle():
+    # all 18 tables of n <= 6, down to the order of the distinct rows
+    for n, kind in itertools.product(range(1, 7), ("lpk", "pk", "des")):
+        assert orderpoly._class_products(n, kind) == counter_class_products(n, kind), (n, kind)
+
+
 def test_class_products_count_factorizations():
     # N_ij(pi) = #{(sigma, tau) : sigma tau = pi, stat sigma = i, stat tau = j}
-    for n, kind in itertools.product(range(1, 5), ("lpk", "pk", "des")):
+    for n, kind in itertools.product(range(1, 6), ("lpk", "pk", "des")):
         perms = list(all_permutations(n))
         brute = Counter(
             (statistic(s, kind), statistic(t, kind), compose(s, t))
