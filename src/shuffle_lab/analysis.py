@@ -1,11 +1,12 @@
-"""Statistic count tables, distances to uniformity, fixed-point and
-cycle-structure statistics of the lazy shelf model.
+"""Distances to uniformity, fixed-point and cycle-structure statistics
+of the lazy shelf model.
 
 A one-pass law is constant on statistic classes, so each distance is an
-integer sum over at most n classes of class size (count_table, two-term
-recurrences on n) times chain count (orderpoly.op_vector), not a sum over
-n! permutations.  Every law is checked to sum to one before a distance is
-read from it; distances stay exact at n in the thousands.
+integer sum over at most n classes of class size (orderpoly.count_table,
+two-term recurrences on n, also importable from here) times chain count
+(orderpoly.op_vector), not a sum over n! permutations.  Each distance
+reads the law models.exact_distribution builds and checks to sum to one;
+distances stay exact at n in the thousands.
 
 The cycle machinery expands the product form of the lazy model's cycle
 generating function
@@ -23,11 +24,9 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache
-from operator import mul
 
-from .models import ShuffleSpec, exact_prob
-from .orderpoly import IdentityReport, gf_coefficients, op_vector, statistic_range
+from .models import ShuffleSpec, exact_distribution, exact_prob
+from .orderpoly import IdentityReport, count_table, gf_coefficients, statistic_range
 from .permutations import all_permutations, cycle_type_partition, fixed_points, left_peaks
 
 __all__ = [
@@ -54,64 +53,8 @@ __all__ = [
 SERIES_CAP = 30
 
 
-@lru_cache(maxsize=None)
-def count_table(n: int, kind: str) -> tuple[int, ...]:
-    """Statistic class sizes: entry k is the number of permutations of
-    {1..n} with statistic value k, via two-term recurrences on n.
-
-    lpk: l(n,k) = (2k+1)   l(n-1,k) + (n+1-2k) l(n-1,k-1)
-    pk:  p(n,k) = (2k+2)   p(n-1,k) + (n-2k)   p(n-1,k-1)
-    des: A(n,k) = (k+1)    A(n-1,k) + (n-k)    A(n-1,k-1)
-
-    Each row is one pass over the previous row and its shift by one,
-    with the coefficients as arithmetic progressions in k.  The Eulerian
-    row is a palindrome, A(n,k) = A(n, n-1-k) (reverse a permutation), so
-    only its left half is computed and then mirrored.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if kind not in ("lpk", "pk", "des"):
-        raise ValueError(f"unknown statistic kind: {kind!r}")
-    row = [1]
-    for nn in range(2, n + 1):
-        here, below = row + [0], [0] + row
-        if kind == "lpk":
-            stay, carry = range(1, nn + 2, 2), range(nn + 1, -1, -2)
-        elif kind == "pk":
-            stay, carry = range(2, nn + 2, 2), range(nn, -1, -2)
-        else:
-            half = (nn + 1) // 2
-            stay, carry = range(1, half + 1), range(nn, nn - half, -1)
-        row = [s * h + c * b for s, c, h, b in zip(stay, carry, here, below)]
-        if kind == "des":
-            row += row[nn - half - 1 :: -1]
-    return tuple(row)
-
-
 # ---------------------------------------------------------------------------
 # distances to the uniform distribution
-
-
-def _integer_law(
-    spec: ShuffleSpec,
-) -> tuple[tuple[int, ...], list[int], int, list[int]]:
-    """(class sizes, chain counts, T, class masses) of one pass, in
-    integers: each permutation in class k has probability ops[k] / T,
-    T = choices^n, and the class as a whole masses[k] / T, with
-    masses[k] = counts[k] ops[k].
-
-    Raises ValueError unless the law sums to one, sum masses == T.
-    """
-    counts = count_table(spec.n, spec.statistic_kind)
-    ops = op_vector(spec.n, spec.m, spec.mode)
-    if len(ops) != len(counts):
-        raise ValueError(f"{len(ops)} chain counts for {len(counts)} classes")
-    masses = list(map(mul, counts, ops))
-    total = spec.total_outcomes
-    mass = sum(masses)
-    if mass != total:
-        raise ValueError(f"class counts sum to {mass}, not {total} outcomes")
-    return counts, ops, total, masses
 
 
 def tv_distance(spec: ShuffleSpec) -> Fraction:
@@ -120,7 +63,7 @@ def tv_distance(spec: ShuffleSpec) -> Fraction:
     the sum of their masses count_k ops_k and C the sum of count_k, it is
     (n! D - T C) / (T n!).  ops_k / T > 1/n! exactly when ops_k exceeds
     T // n!, so no class is multiplied by n!."""
-    return _tv(spec.n, *_integer_law(spec))
+    return _tv(spec.n, *exact_distribution(spec))
 
 
 def _tv(n, counts, ops, total, masses) -> Fraction:
@@ -135,7 +78,7 @@ def _tv(n, counts, ops, total, masses) -> Fraction:
 def sep_distance(spec: ShuffleSpec) -> Fraction:
     """Separation distance; by monotonicity it is attained at the
     statistic extremes k = 0 or k = k_max."""
-    return _sep(spec.n, *_integer_law(spec))
+    return _sep(spec.n, *exact_distribution(spec))
 
 
 def _sep(n, counts, ops, total, masses) -> Fraction:
@@ -144,7 +87,7 @@ def _sep(n, counts, ops, total, masses) -> Fraction:
 
 def linf_distance(spec: ShuffleSpec) -> Fraction:
     """l-infinity distance max |n! prob - 1|, again from the extremes."""
-    return _linf(spec.n, *_integer_law(spec))
+    return _linf(spec.n, *exact_distribution(spec))
 
 
 def _linf(n, counts, ops, total, masses) -> Fraction:
@@ -203,7 +146,7 @@ def asymptotic_compare(n: int, c: float) -> AsymptoticReport:
     if not c > 0:
         raise ValueError(f"c must be positive, got {c!r}")
     m = round(c * n**1.5)
-    law = _integer_law(ShuffleSpec(n, m, "shelf-lazy"))  # built and checked once
+    law = exact_distribution(ShuffleSpec(n, m, "shelf-lazy"))  # built and checked once
     limits = 1 - math.exp(-1 / (24 * c * c)), math.exp(1 / (12 * c * c)) - 1
     return AsymptoticReport(n, c, m, _tv(n, *law), _sep(n, *law), _linf(n, *law), *limits)
 

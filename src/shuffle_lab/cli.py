@@ -1,8 +1,8 @@
 """Command-line front end: sampling, distance tables, identity
 verification, and cycle-structure reports.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or I/O error.
-Output is deterministic for a fixed seed and config.
+Exit codes: 0 success, 1 verification failure, 2 usage, I/O or memory
+error.  Output is deterministic for a fixed seed and config.
 """
 
 from __future__ import annotations
@@ -367,6 +367,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a failed allocation raises it with no message
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 2
 
 

@@ -1,6 +1,6 @@
 """The six shuffle models: Monte Carlo samplers, exact per-permutation
-probabilities, compact exact distributions, and the repeated-shuffle
-convolution rule.
+probabilities, the checked integer law of one pass, and the
+repeated-shuffle convolution rule.
 
 Shelf machines deal n cards one at a time from the top of the deck onto m
 shelves.  Per card the machine picks, uniformly:
@@ -17,26 +17,30 @@ bottoms with probability proportional to remaining pile size.
 
 Each model's per-permutation law is carried by the statistic of its
 alphabet's mode, read off the permutation (shelf) or off its inverse
-(riffle); MODELS holds one row per machine.
+(riffle); MODELS holds one row per machine.  exact_distribution builds
+that law class by class, in integers checked to sum to one, and every
+distance in analysis reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import ppartitions as pp
 from .orderpoly import (
     IdentityReport,
     _factorization_sums,
     convolved_bound,
+    count_table,
     mode_statistic,
     op_chain,
+    op_vector,
 )
 from .permutations import Perm, check_permutation, inverse, statistic
 
 __all__ = [
-    "ExactDist",
     "MODELS",
     "Model",
     "RIFFLE_MODELS",
@@ -184,34 +188,26 @@ def exact_prob(p: Perm, spec: ShuffleSpec) -> Fraction:
     return Fraction(op_chain(spec.n, k, spec.m, spec.mode), spec.total_outcomes)
 
 
-@dataclass(frozen=True)
-class ExactDist:
-    """A shuffle law on S_n stored per statistic class.
+def exact_distribution(
+    spec: ShuffleSpec,
+) -> tuple[tuple[int, ...], list[int], int, list[int]]:
+    """The law of one pass in integers: (class sizes, chain counts, T,
+    class masses).  Each permutation in statistic class k has probability
+    ops[k] / T, T = choices^n, and the class as a whole masses[k] / T,
+    with masses[k] = counts[k] ops[k].
 
-    classes maps statistic value k -> (probability of each single
-    permutation in the class, number of permutations in the class).
+    Raises ValueError unless the law sums to one, sum masses == T.
     """
-
-    spec: ShuffleSpec
-    statistic: str
-    classes: tuple[tuple[int, Fraction, int], ...]  # (k, prob, class size)
-
-    def __post_init__(self):
-        total = sum(prob * count for _, prob, count in self.classes)
-        if total != 1:
-            raise ValueError(f"class probabilities sum to {total}, not 1")
-
-
-def exact_distribution(spec: ShuffleSpec) -> ExactDist:
-    """The full law of one pass, one row per statistic class, read off the
-    integer law (ValueError unless it sums to one)."""
-    from .analysis import _integer_law
-
-    counts, ops, total, _ = _integer_law(spec)
-    rows = tuple(
-        (k, Fraction(op, total), count) for k, (op, count) in enumerate(zip(ops, counts))
-    )
-    return ExactDist(spec, spec.statistic_kind, rows)
+    counts = count_table(spec.n, spec.statistic_kind)
+    ops = op_vector(spec.n, spec.m, spec.mode)
+    if len(ops) != len(counts):
+        raise ValueError(f"{len(ops)} chain counts for {len(counts)} classes")
+    masses = list(map(mul, counts, ops))
+    total = spec.total_outcomes
+    mass = sum(masses)
+    if mass != total:
+        raise ValueError(f"class counts sum to {mass}, not {total} outcomes")
+    return counts, ops, total, masses
 
 
 def convolve(spec1: ShuffleSpec, spec2: ShuffleSpec) -> ShuffleSpec:

@@ -1,9 +1,10 @@
 """Closed-form counts of bounded chain partitions ("order polynomials"),
-and exhaustive verification of the identities the shuffle analysis rests
-on: two-pass decomposition, monotonicity in the statistic, the symmetry
-of the class-product tables, the closed forms against enumeration, and
-the split of bounded P-partitions over linear extensions.  Every check
-returns an IdentityReport.
+the statistic class sizes they are weighted by, and exhaustive
+verification of the identities the shuffle analysis rests on: two-pass
+decomposition, monotonicity in the statistic, the symmetry of the
+class-product tables, the closed forms against enumeration, and the split
+of bounded P-partitions over linear extensions.  Every check returns an
+IdentityReport.
 
 Everything is exact integer arithmetic.  For a chain labeled by a
 permutation, the count depends only on (n, statistic, bound m), with the
@@ -13,7 +14,8 @@ function scale t^shift (1+t)^deg / (1-t)^(n+1), one (scale, shift, deg)
 row per mode in ``_NUMERATOR``; op_chain reads its t^m coefficient.
 
 Out-of-range statistic values give 0; statistic_range tells the caller
-which k are structurally meaningful.
+which k are structurally meaningful, and count_table how many
+permutations of {1..n} each class holds.
 """
 
 from __future__ import annotations
@@ -36,11 +38,11 @@ __all__ = [
     "check_linear_extension_split",
     "check_monotonicity",
     "convolved_bound",
+    "count_table",
     "gf_coefficients",
     "mode_statistic",
     "op_chain",
     "op_of_perm",
-    "op_poset",
     "op_vector",
     "statistic_range",
     "EXHAUSTIVE_CAP",
@@ -64,6 +66,40 @@ def statistic_range(kind: str, n: int) -> range:
     if kind == "des":
         return range(n if n >= 1 else 1)
     raise ValueError(f"unknown statistic kind: {kind!r}")
+
+
+@lru_cache(maxsize=None)
+def count_table(n: int, kind: str) -> tuple[int, ...]:
+    """Statistic class sizes: entry k is the number of permutations of
+    {1..n} with statistic value k, via two-term recurrences on n.
+
+    lpk: l(n,k) = (2k+1)   l(n-1,k) + (n+1-2k) l(n-1,k-1)
+    pk:  p(n,k) = (2k+2)   p(n-1,k) + (n-2k)   p(n-1,k-1)
+    des: A(n,k) = (k+1)    A(n-1,k) + (n-k)    A(n-1,k-1)
+
+    Each row is one pass over the previous row and its shift by one,
+    with the coefficients as arithmetic progressions in k.  The Eulerian
+    row is a palindrome, A(n,k) = A(n, n-1-k) (reverse a permutation), so
+    only its left half is computed and then mirrored.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    if kind not in ("lpk", "pk", "des"):
+        raise ValueError(f"unknown statistic kind: {kind!r}")
+    row = [1]
+    for nn in range(2, n + 1):
+        here, below = row + [0], [0] + row
+        if kind == "lpk":
+            stay, carry = range(1, nn + 2, 2), range(nn + 1, -1, -2)
+        elif kind == "pk":
+            stay, carry = range(2, nn + 2, 2), range(nn, -1, -2)
+        else:
+            half = (nn + 1) // 2
+            stay, carry = range(1, half + 1), range(nn, nn - half, -1)
+        row = [s * h + c * b for s, c, h, b in zip(stay, carry, here, below)]
+        if kind == "des":
+            row += row[nn - half - 1 :: -1]
+    return tuple(row)
 
 
 def op_chain(n: int, k: int, m: int, mode: str) -> int:
@@ -192,11 +228,6 @@ def op_vector(n: int, m: int, mode: str) -> list[int]:
 def op_of_perm(p: Perm, m: int, mode: str) -> int:
     """Chain count for the chain labeled by p."""
     return op_chain(len(p), statistic(p, mode_statistic(mode)), m, mode)
-
-
-def op_poset(poset: Poset, m: int, mode: str = "all") -> int:
-    """Bounded partitions of an arbitrary poset: the linear-extension sum."""
-    return sum(op_of_perm(p, m, mode) for p in poset.linear_extensions())
 
 
 def gf_coefficients(n: int, k: int, mode: str, terms: int) -> list[int]:

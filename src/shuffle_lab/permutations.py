@@ -22,7 +22,6 @@ __all__ = [
     "all_permutations",
     "check_permutation",
     "compose",
-    "cycle_type",
     "cycle_type_partition",
     "descents",
     "fixed_points",
@@ -113,37 +112,23 @@ def statistic(p: Perm, kind: str) -> int:
     raise ValueError(f"unknown statistic kind: {kind!r}")
 
 
-def cycle_type(p: Perm) -> dict[int, int]:
-    """Map cycle length -> number of cycles of that length.
-
-    >>> cycle_type((2, 3, 1))
-    {3: 1}
-    """
-    seen = [False] * len(p)
-    counts: dict[int, int] = {}
-    for start in range(1, len(p) + 1):
-        if seen[start - 1]:
-            continue
-        length = 0
-        j = start
-        while not seen[j - 1]:
-            seen[j - 1] = True
-            j = p[j - 1]
-            length += 1
-        counts[length] = counts.get(length, 0) + 1
-    return dict(sorted(counts.items()))
-
-
 def cycle_type_partition(p: Perm) -> tuple[int, ...]:
     """Cycle lengths as a partition tuple, largest part first.
 
     >>> cycle_type_partition((2, 1, 3, 5, 4))
     (2, 2, 1)
     """
-    parts: list[int] = []
-    for length, count in cycle_type(p).items():
-        parts.extend([length] * count)
-    return tuple(sorted(parts, reverse=True))
+    seen = [False] * len(p)
+    lengths = []
+    for start in range(len(p)):
+        length, j = 0, start
+        while not seen[j]:
+            seen[j] = True
+            j = p[j] - 1
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
 
 
 def fixed_points(p: Perm) -> int:

@@ -28,13 +28,14 @@ from functools import total_ordering
 from shuffle_lab import models
 from shuffle_lab import ppartitions as pp
 from shuffle_lab.analysis import f_im
-from shuffle_lab.models import ExactDist, ShuffleSpec, convolve
+from shuffle_lab.models import ShuffleSpec, convolve
 from shuffle_lab.orderpoly import (
     IdentityReport,
     _adjacent_swaps,
     convolved_bound,
     mode_statistic,
     op_chain,
+    op_of_perm,
     statistic_range,
 )
 from shuffle_lab.permutations import (
@@ -176,6 +177,12 @@ def recurrence_count_rows(kind: str):
 def recurrence_count_table(n: int, kind: str) -> tuple[int, ...]:
     """Row n of recurrence_count_rows."""
     return next(itertools.islice(recurrence_count_rows(kind), n - 1, None))
+
+
+def op_poset(poset: Poset, m: int, mode: str = "all") -> int:
+    """Bounded partitions of an arbitrary poset: the linear-extension sum
+    of chain counts."""
+    return sum(op_of_perm(p, m, mode) for p in poset.linear_extensions())
 
 
 def comb_op_chain(n: int, k: int, m: int, mode: str) -> int:
@@ -520,34 +527,6 @@ def iter_shelf_placements(spec: ShuffleSpec):
     if len(values) ** spec.n > ENUMERATION_CAP:
         raise ValueError("placement space exceeds enumeration cap")
     return itertools.product(values, repeat=spec.n)
-
-
-def class_size(dist: ExactDist, k: int) -> int:
-    """Number of permutations in statistic class k of an exact law."""
-    for kk, _, count in dist.classes:
-        if kk == k:
-            return count
-    raise KeyError(k)
-
-
-def exact_dist_to_json_dict(dist: ExactDist) -> dict:
-    """JSON form of an exact law, with decimal strings for the big
-    integers."""
-    return {
-        "model": dist.spec.model,
-        "n": dist.spec.n,
-        "m": dist.spec.m,
-        "statistic": dist.statistic,
-        "classes": [
-            {
-                "k": k,
-                "count": str(count),
-                "prob_num": str(prob.numerator),
-                "prob_den": str(prob.denominator),
-            }
-            for k, prob, count in dist.classes
-        ],
-    }
 
 
 def parse_two_line(text: str) -> PPartition:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from shuffle_lab import analysis
+from shuffle_lab import analysis, models
 from shuffle_lab.analysis import (
     SERIES_CAP,
     _two_sided_power,
@@ -128,17 +128,17 @@ def test_distances_equal_fraction_distances_at_large_n(model, n):
 def test_corrupted_class_vector_fails_normalization(monkeypatch, law):
     spec = ShuffleSpec(6, 2, "shelf-standard")
     law(spec)  # the honest class vector passes
-    honest = analysis.op_vector
+    honest = models.op_vector
 
     def bump_middle(n, m, mode):
         ops = honest(n, m, mode)
         ops[1] += 1  # the extremes k = 0 and k_max keep their values
         return ops
 
-    monkeypatch.setattr(analysis, "op_vector", bump_middle)
+    monkeypatch.setattr(models, "op_vector", bump_middle)
     with pytest.raises(ValueError, match="not .* outcomes"):
         law(spec)
-    monkeypatch.setattr(analysis, "op_vector", lambda n, m, mode: honest(n, m, mode)[:-1])
+    monkeypatch.setattr(models, "op_vector", lambda n, m, mode: honest(n, m, mode)[:-1])
     with pytest.raises(ValueError):
         law(spec)
 
@@ -160,10 +160,10 @@ def test_scaling_window_linf_gap_shrinks(c):
 def test_extreme_classes_attain_sep_and_linf():
     for model, m in itertools.product(("shelf-lazy", "shelf-standard", "shelf-strict"), (1, 3)):
         spec = ShuffleSpec(8, m, model)
-        dist = exact_distribution(spec)
+        _, ops, total, _ = exact_distribution(spec)
         nfact = math.factorial(8)
-        sep_full = max(1 - nfact * prob for _, prob, _ in dist.classes)
-        linf_full = max(abs(nfact * prob - 1) for _, prob, _ in dist.classes)
+        sep_full = max(1 - Fraction(nfact * op, total) for op in ops)
+        linf_full = max(abs(Fraction(nfact * op, total) - 1) for op in ops)
         assert sep_distance(spec) == sep_full
         assert linf_distance(spec) == linf_full
 
@@ -207,8 +207,10 @@ def test_exact_str():
 def test_asymptotic_compare_builds_one_law(n, c, monkeypatch):
     # the three fields are the three distances, read off one checked law
     built = []
-    law = analysis._integer_law
-    monkeypatch.setattr(analysis, "_integer_law", lambda spec: built.append(spec) or law(spec))
+    law = analysis.exact_distribution
+    monkeypatch.setattr(
+        analysis, "exact_distribution", lambda spec: built.append(spec) or law(spec)
+    )
     report = asymptotic_compare(n, c)
     spec = ShuffleSpec(n, report.m, "shelf-lazy")
     assert built == [spec]

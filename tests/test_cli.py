@@ -326,6 +326,22 @@ def test_cycles_corrupted_series_is_usage_error(capsys, monkeypatch):
     assert err.startswith("error:") and "do not sum to 1" in err
 
 
+@pytest.mark.parametrize("message, line", [
+    ("", "error: out of memory\n"),
+    ("cannot allocate", "error: out of memory (cannot allocate)\n"),
+])
+def test_memory_error_is_usage_error(capsys, monkeypatch, message, line):
+    # a failed allocation raises a bare MemoryError, with an empty message
+    def exhausted(spec, rng):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(models, "simulate_shelf", exhausted)
+    code, out, err = run(capsys, "simulate", "--model", "shelf-lazy", "--n", "4",
+                         "--m", "1", "--seed", "1")
+    assert code == 2 and out == ""
+    assert err == line
+
+
 def test_fixed_points_formats(capsys):
     code, out, _ = run(capsys, "fixed-points", "--n", "2", "--m", "1")
     assert code == 0 and "10/9" in out
@@ -434,6 +450,26 @@ def test_package_does_not_import_the_tests():
                 path.name,
                 names,
             )
+
+
+def test_package_imports_form_a_dag():
+    # relative imports between the package's modules, function-level ones
+    # included; peel off modules that import nothing left in the graph
+    graph = {}
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        deps = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                if node.module:
+                    deps.add(node.module.split(".")[0])
+                else:
+                    deps.update(alias.name for alias in node.names)
+        graph[path.stem] = deps - {path.stem}
+    assert "analysis" not in graph["models"]
+    while graph:
+        leaves = {name for name, deps in graph.items() if not deps & graph.keys()}
+        assert leaves, f"import cycle among {sorted(graph)}"
+        graph = {name: deps for name, deps in graph.items() if name not in leaves}
 
 
 @pytest.mark.skipif(shutil.which("shuffle-lab") is None,

@@ -28,13 +28,13 @@ from shuffle_lab.permutations import (
     descents,
     format_permutation,
     inverse,
+    statistic,
 )
 
 from .oracles import (
     ScriptedRNG,
-    class_size,
+    brute_statistic_counts,
     compose_loop_convolution,
-    exact_dist_to_json_dict,
     iter_shelf_placements,
     simulate_riffle_by_scan,
     simulate_riffle_uniform,
@@ -294,47 +294,37 @@ def test_classic_single_pile_is_identity():
 
 
 def test_exact_distribution_examples():
-    dist = exact_distribution(ShuffleSpec(2, 1, "shelf-lazy"))
-    assert dist.statistic == "lpk"
-    assert dist.classes == ((0, Fraction(5, 9), 1), (1, Fraction(4, 9), 1))
-    probs = {k: prob for k, prob, _ in dist.classes}
-    assert probs[1] == Fraction(4, 9)
-    assert class_size(dist, 0) == 1
-    with pytest.raises(KeyError):
-        probs[2]
+    assert exact_distribution(ShuffleSpec(2, 1, "shelf-lazy")) == ((1, 1), [5, 4], 9, [5, 4])
     # normalization holds for a larger strict table too
-    strict = exact_distribution(ShuffleSpec(6, 3, "shelf-strict"))
-    assert sum(prob * count for _, prob, count in strict.classes) == 1
+    counts, ops, total, masses = exact_distribution(ShuffleSpec(6, 3, "shelf-strict"))
+    assert sum(masses) == total == 3**6
+    assert masses == [c * op for c, op in zip(counts, ops)]
 
 
-def test_exact_distribution_rejects_bad_normalization():
-    dist = exact_distribution(ShuffleSpec(3, 1, "shelf-lazy"))
-    with pytest.raises(ValueError):
-        type(dist)(dist.spec, dist.statistic, dist.classes[:1])
-
-
-def test_exact_distribution_json_shape():
-    payload = exact_dist_to_json_dict(exact_distribution(ShuffleSpec(2, 1, "shelf-lazy")))
-    assert payload == {
-        "model": "shelf-lazy",
-        "n": 2,
-        "m": 1,
-        "statistic": "lpk",
-        "classes": [
-            {"k": 0, "count": "1", "prob_num": "5", "prob_den": "9"},
-            {"k": 1, "count": "1", "prob_num": "4", "prob_den": "9"},
-        ],
-    }
+def test_exact_distribution_equals_brute_force():
+    # every valid spec with n <= 6, m <= 3: class sizes by scanning S_n,
+    # and T exact_prob(pi) is the chain count of pi's class, read off pi
+    # for a shelf and off pi^-1 for a riffle
+    for model, n, m in itertools.product(MODELS, range(1, 7), range(4)):
+        if m == 0 and MODELS[model].mode != "all":
+            continue  # m = 0 leaves only the lazy alphabet any outcomes
+        spec = ShuffleSpec(n, m, model)
+        counts, ops, total, masses = exact_distribution(spec)
+        kind = spec.statistic_kind
+        assert counts == brute_statistic_counts(n, kind), spec
+        assert total == spec.total_outcomes and sum(masses) == total, spec
+        for p in all_permutations(n):
+            k = statistic(inverse(p) if spec.riffle else p, kind)
+            assert total * exact_prob(p, spec) == ops[k], (spec, p)
 
 
 def test_lazy_support_is_bounded_by_shelf_count():
-    dist = exact_distribution(ShuffleSpec(6, 2, "shelf-lazy"))
-    probs = {k: prob for k, prob, _ in dist.classes}
-    assert probs[3] == 0
-    assert probs[2] > 0
-    big = exact_distribution(ShuffleSpec(52, 10, "shelf-lazy"))
-    assert all(prob == 0 for k, prob, _ in big.classes if k > 10)
-    assert sum(prob * count for _, prob, count in big.classes) == 1
+    _, ops, _, _ = exact_distribution(ShuffleSpec(6, 2, "shelf-lazy"))
+    assert ops[3] == 0
+    assert ops[2] > 0
+    _, ops, total, masses = exact_distribution(ShuffleSpec(52, 10, "shelf-lazy"))
+    assert all(op == 0 for op in ops[11:]) and len(ops) > 11
+    assert sum(masses) == total
 
 
 def test_convolve_rules():

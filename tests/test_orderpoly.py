@@ -22,7 +22,6 @@ from shuffle_lab.orderpoly import (
     mode_statistic,
     op_chain,
     op_of_perm,
-    op_poset,
     op_vector,
     statistic_range,
     verify_decomposition,
@@ -35,6 +34,7 @@ from .oracles import (
     brute_statistic_counts,
     comb_op_chain,
     counter_class_products,
+    op_poset,
     pascal_op_vector,
     product_loop_decomposition,
     right_multiplication_tables,

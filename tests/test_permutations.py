@@ -9,7 +9,6 @@ from shuffle_lab.permutations import (
     all_permutations,
     check_permutation,
     compose,
-    cycle_type,
     cycle_type_partition,
     descents,
     fixed_points,
@@ -108,23 +107,36 @@ def test_inverse_examples():
 
 
 def test_cycle_type_examples():
-    assert cycle_type(tuple(range(1, 5))) == {1: 4}
-    assert cycle_type((2, 1)) == {2: 1}
-    assert cycle_type((2, 3, 1)) == {3: 1}
+    assert cycle_type_partition(tuple(range(1, 5))) == (1, 1, 1, 1)
+    assert cycle_type_partition((2, 1)) == (2,)
+    assert cycle_type_partition((2, 3, 1)) == (3,)
     assert cycle_type_partition((2, 1, 3, 5, 4)) == (2, 2, 1)
+
+
+def test_cycle_type_partition_equals_orbit_sizes():
+    # each orbit {i, p(i), p(p(i)), ...} is one cycle, counted once
+    for n in range(1, 8):
+        for p in all_permutations(n):
+            orbits = set()
+            for i in range(1, n + 1):
+                orbit, j = {i}, p[i - 1]
+                while j != i:
+                    orbit.add(j)
+                    j = p[j - 1]
+                orbits.add(frozenset(orbit))
+            assert cycle_type_partition(p) == tuple(sorted(map(len, orbits), reverse=True))
 
 
 def test_cycle_type_is_inverse_invariant():
     for n in range(1, 7):
         for p in all_permutations(n):
-            assert cycle_type(p) == cycle_type(inverse(p))
+            assert cycle_type_partition(p) == cycle_type_partition(inverse(p))
 
 
 def test_cycle_lengths_sum_to_n():
     for p in all_permutations(5):
-        assert sum(length * c for length, c in cycle_type(p).items()) == 5
-        assert fixed_points(p) == cycle_type(p).get(1, 0)
         assert sum(cycle_type_partition(p)) == 5
+        assert fixed_points(p) == cycle_type_partition(p).count(1)
 
 
 def test_format_parse_round_trip():
