@@ -284,10 +284,12 @@ def expected_fixed_points(n: int, m: int) -> Fraction:
     """
     if n < 1 or m < 0:
         raise ValueError("require n >= 1 and m >= 0")
-    q = Fraction(1, 2 * m + 1)
-    if n % 2:
-        return 1 + 2 * sum((q ** (2 * k) for k in range(1, (n - 1) // 2 + 1)), Fraction(0))
-    return 1 + 2 * sum((q ** (2 * k) for k in range(1, n // 2)), Fraction(0)) + q**n
+    # 1 + 2 sum_{k=1..K} b^(-2k), K = (n - 1) // 2, as one geometric sum,
+    # plus b^(-n) when n is even
+    b, K = 2 * m + 1, (n - 1) // 2
+    power = b ** (2 * K)
+    mean = 1 + Fraction(2 * (power - 1), power * (b * b - 1)) if m else Fraction(1 + 2 * K)
+    return mean if n % 2 else mean + Fraction(1, b**n)
 
 
 def check_expected_fixed_points(n: int, m: int) -> IdentityReport:

@@ -63,16 +63,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             print(f"seed: {seed}", file=sys.stderr)
     rng = random.Random(seed)
     sampler = models.simulate_riffle if spec.riffle else models.simulate_shelf
-    rows = []
-    for index in range(args.count):
-        _, perm = sampler(spec, rng)
-        row = {"index": index, "permutation": format_permutation(perm)}
-        if args.stats:
-            row["des"] = descents(perm)[0]
-            row["pk"] = peaks(perm)
-            # left_peaks(perm), without counting the peaks again
-            row["lpk"] = row["pk"] + (spec.n >= 2 and perm[0] > perm[1])
-        rows.append(row)
+    names = ("index", "permutation") + (("des", "pk", "lpk") if args.stats else ())
+
+    def rows():  # one tuple per deck, drawn as the writer asks for it
+        for index in range(args.count):
+            _, perm = sampler(spec, rng)
+            row = (index, format_permutation(perm))
+            if args.stats:
+                pk = peaks(perm)
+                # left_peaks(perm), without counting the peaks again
+                row += (descents(perm)[0], pk, pk + (spec.n >= 2 and perm[0] > perm[1]))
+            yield row
 
     if args.format == "json":
         payload = {
@@ -80,22 +81,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "n": spec.n,
             "m": spec.m,
             "seed": seed,
-            "samples": rows,
+            "samples": [dict(zip(names, row)) for row in rows()],
         }
         text = json.dumps(payload, indent=2) + "\n"
     elif args.format == "csv":
-        header = ["index", "permutation"] + (["des", "pk", "lpk"] if args.stats else [])
-        lines = [",".join(header)]
-        lines += [",".join(str(row[h]) for h in header) for row in rows]
-        text = "\n".join(lines) + "\n"
+        text = ",".join(names) + "\n" + "".join(",".join(map(str, row)) + "\n" for row in rows())
     else:
-        lines = []
-        for row in rows:
-            line = row["permutation"]
-            if args.stats:
-                line += f"  des={row['des']} pk={row['pk']} lpk={row['lpk']}"
-            lines.append(line)
-        text = "".join(line + "\n" for line in lines)
+        suffix = "  des={} pk={} lpk={}" if args.stats else ""
+        text = "".join(row[1] + suffix.format(*row[2:]) + "\n" for row in rows())
     _emit(text, args.output)
     return 0
 
@@ -109,51 +102,29 @@ def cmd_tv_table(args: argparse.Namespace) -> int:
     if not ms:
         raise ValueError("empty m list")
     model_list = [args.model] if args.model else list(models.SHELF_MODELS)
-    labels = {model: models.MODELS[model].label for model in model_list}
     distance = _DISTANCES[args.distance]
-    cells = {
-        (model, m): distance(models.ShuffleSpec(args.n, m, model))
+    render = exact_str if args.exact else format_fixed
+    rows = {  # label -> rendered cells; one distance call per cell
+        models.MODELS[model].label: [
+            render(distance(models.ShuffleSpec(args.n, m, model))) for m in ms
+        ]
         for model in model_list
-        for m in ms
     }
-
-    def render(value: Fraction) -> str:
-        return exact_str(value) if args.exact else format_fixed(value)
-
+    header = [str(m) for m in ms]
     if args.format == "json":
-        payload = {
-            "n": args.n,
-            "distance": args.distance,
-            "m": ms,
-            "rows": {
-                labels[model]: [render(cells[(model, m)]) for m in ms]
-                for model in model_list
-            },
-        }
+        payload = {"n": args.n, "distance": args.distance, "m": ms, "rows": rows}
         text = json.dumps(payload, indent=2) + "\n"
     elif args.format == "csv":
-        lines = ["model," + ",".join(str(m) for m in ms)]
-        for model in model_list:
-            lines.append(
-                labels[model] + "," + ",".join(render(cells[(model, m)]) for m in ms)
-            )
-        text = "\n".join(lines) + "\n"
+        table = [("model", header), *rows.items()]
+        text = "".join(",".join([label, *cells]) + "\n" for label, cells in table)
     else:
-        label_w = max(map(len, labels.values()))
-        col_w = max(
-            [len(str(m)) for m in ms]
-            + [len(render(v)) for v in cells.values()]
+        table = [("", header), *rows.items()]
+        label_w = max(len(label) for label, _ in table)
+        col_w = max(len(cell) for _, cells in table for cell in cells)
+        text = "".join(
+            label.ljust(label_w) + "  " + "  ".join(cell.rjust(col_w) for cell in cells) + "\n"
+            for label, cells in table
         )
-        lines = [
-            " " * label_w + "  " + "  ".join(str(m).rjust(col_w) for m in ms)
-        ]
-        for model in model_list:
-            lines.append(
-                labels[model].ljust(label_w)
-                + "  "
-                + "  ".join(render(cells[(model, m)]).rjust(col_w) for m in ms)
-            )
-        text = "\n".join(lines) + "\n"
     _emit(text, args.output)
     return 0
 

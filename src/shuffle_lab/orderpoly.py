@@ -274,26 +274,20 @@ class IdentityReport:
 def _adjacent_swaps(n: int) -> Iterator[int]:
     """Positions a (0-based) such that swapping entries a, a + 1 in turn,
     starting from the identity, visits every permutation of S_n exactly
-    once (Steinhaus-Johnson-Trotter): n! - 1 swaps.
+    once (Steinhaus-Johnson-Trotter plain changes): n! - 1 swaps.
 
     >>> list(_adjacent_swaps(3))
     [1, 0, 1, 0, 1]
     """
-    perm = list(range(1, n + 1))
-    left = [True] * (n + 1)  # direction each value moves in
-    while True:
-        mobile, pos = 0, -1  # largest value whose neighbour ahead is smaller
-        for q, v in enumerate(perm):
-            r = q - 1 if left[v] else q + 1
-            if v > mobile and 0 <= r < n and perm[r] < v:
-                mobile, pos = v, q
-        if not mobile:
-            return
-        r = pos - 1 if left[mobile] else pos + 1
-        perm[pos], perm[r] = perm[r], perm[pos]
-        yield min(pos, r)
-        for v in range(mobile + 1, n + 1):
-            left[v] = not left[v]
+    if n < 2:
+        return
+    left, right = range(n - 2, -1, -1), range(n - 1)  # n sweeps across the rest
+    sweep = left
+    for a in _adjacent_swaps(n - 1):  # the rest take one step between sweeps
+        yield from sweep
+        yield a + (sweep is left)  # shifted while n is at the left end
+        sweep = right if sweep is left else left
+    yield from sweep
 
 
 def _swap_tables(perms: list[Perm]) -> list[list[int]]:

@@ -16,15 +16,16 @@ __all__ = ["Poset", "all_posets"]
 
 
 def _transitive_closure(n: int, pairs: set[tuple[int, int]]) -> set[tuple[int, int]]:
-    closure = set(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for (a, b), (c, d) in itertools.product(tuple(closure), repeat=2):
-            if b == c and (a, d) not in closure:
-                closure.add((a, d))
-                changed = True
-    return closure
+    """Warshall's algorithm: for each k in turn, everything below k goes
+    below everything above k."""
+    above: dict[int, set[int]] = {i: set() for i in range(1, n + 1)}
+    for i, j in pairs:
+        above[i].add(j)
+    for k in above:
+        for i in above:
+            if k in above[i]:
+                above[i] |= above[k]
+    return {(i, j) for i in above for j in above[i]}
 
 
 class Poset:
@@ -72,36 +73,24 @@ class Poset:
         return self._covers
 
     def linear_extensions(self) -> list[Perm]:
-        """All linear extensions, as permutations read off top-to-bottom."""
-        succs: dict[int, list[int]] = {i: [] for i in range(1, self.n + 1)}
-        npred = {i: 0 for i in range(1, self.n + 1)}
-        for i, j in self.covers():
-            succs[i].append(j)
-            npred[j] += 1
-
+        """All linear extensions, as permutations read off top-to-bottom, in
+        lexicographic order: each position takes, in increasing order, every
+        unplaced element whose predecessors are all placed."""
+        n = self.n
+        below: list[set[int]] = [set() for _ in range(n + 1)]
+        for i, j in self.relation:
+            below[j].add(i)
         out: list[Perm] = []
-        prefix: list[int] = []
-        ready = sorted(i for i in npred if npred[i] == 0)
 
-        def extend(ready: list[int]) -> None:
-            if not ready:
-                if len(prefix) == self.n:
-                    out.append(tuple(prefix))
-                return
-            for idx, i in enumerate(ready):
-                prefix.append(i)
-                nxt = ready[:idx] + ready[idx + 1 :]
-                for j in succs[i]:
-                    npred[j] -= 1
-                    if npred[j] == 0:
-                        nxt.append(j)
-                extend(nxt)
-                for j in succs[i]:
-                    npred[j] += 1
-                prefix.pop()
+        def extend(prefix: Perm, placed: set[int]) -> None:
+            if len(prefix) == n:
+                out.append(prefix)
+            for e in range(1, n + 1):
+                if e not in placed and below[e] <= placed:
+                    extend(prefix + (e,), placed | {e})
 
-        extend(ready)
-        return sorted(out)
+        extend((), set())
+        return out
 
     def __eq__(self, other: object) -> bool:
         return (

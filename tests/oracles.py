@@ -6,8 +6,9 @@ routes the library replaced: order preservation is checked over the full
 relation (not just covering pairs), statistics are counted by scanning
 windows, bounded-partition sets come from filtering the complete
 value-tuple product, products in S_n are taken one pair at a time or
-counted into one Counter per class pair, and the reference samplers sort
-the placement map and scan the pile sizes.
+counted into one Counter per class pair, the reference samplers sort
+the placement map and scan the pile sizes, and the reference writers keep
+every ``simulate`` row and ``tv-table`` cell before rendering them.
 
 The library stores a barred value as its integer rank.  The P-partition
 oracles work on BarredInt values instead (magnitude and bar), so they do
@@ -18,16 +19,18 @@ maps into the library's rank tuples for comparison.
 from __future__ import annotations
 
 import itertools
+import json
 import math
+import random
 from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import total_ordering
 
-from shuffle_lab import models
+from shuffle_lab import cli, models
 from shuffle_lab import ppartitions as pp
-from shuffle_lab.analysis import f_im
+from shuffle_lab.analysis import exact_str, f_im
 from shuffle_lab.models import ShuffleSpec, convolve
 from shuffle_lab.orderpoly import (
     IdentityReport,
@@ -43,7 +46,10 @@ from shuffle_lab.permutations import (
     all_permutations,
     check_permutation,
     compose,
+    descents,
+    format_permutation,
     inverse,
+    peaks,
     statistic,
 )
 from shuffle_lab.posets import Poset
@@ -579,13 +585,20 @@ def parse_exact(text: str) -> Fraction:
 
 class ScriptedRNG:
     """randrange stand-in that replays a fixed list of draws, so a sampler
-    can be driven through a specific placement sequence."""
+    can be driven through a specific placement sequence.  It records the
+    width of every draw asked for; with ``pad``, draws past the end of the
+    script are 0 and join the script."""
 
-    def __init__(self, script):
+    def __init__(self, script, pad=False):
         self.script = list(script)
+        self.pad = pad
         self.cursor = 0
+        self.widths = []
 
     def randrange(self, bound: int) -> int:
+        self.widths.append(bound)
+        if self.pad and self.cursor == len(self.script):
+            self.script.append(0)
         value = self.script[self.cursor]
         self.cursor += 1
         if not 0 <= value < bound:
@@ -594,3 +607,127 @@ class ScriptedRNG:
 
     def exhausted(self) -> bool:
         return self.cursor == len(self.script)
+
+
+def draw_tree_law(sampler, spec: ShuffleSpec, prefix=(), weight=Fraction(1)):
+    """The exact law of ``sampler``'s deck when every draw after the fixed
+    ``prefix`` is uniform on its width: all continuations are run, in
+    odometer order, each weighing ``weight`` over the product of its own
+    widths.  Returns ({deck: probability}, set of width sequences seen)."""
+    leaves: Counter = Counter()
+    widths_seen = set()
+    script = list(prefix)
+    while True:
+        rng = ScriptedRNG(script, pad=True)
+        _, deck = sampler(spec, rng)
+        script, widths = rng.script[: rng.cursor], rng.widths
+        widths_seen.add(tuple(widths))
+        leaves[deck, math.prod(widths[len(prefix):])] += 1
+        # the next sequence: bump the last free draw that has room left
+        i = len(script) - 1
+        while i >= len(prefix) and script[i] + 1 == widths[i]:
+            i -= 1
+        if i < len(prefix):
+            break
+        script = script[:i] + [script[i] + 1]
+    law: Counter = Counter()
+    for (deck, width_product), count in leaves.items():
+        law[deck] += Fraction(count, width_product) * weight
+    return law, widths_seen
+
+
+def sum_expected_fixed_points(n: int, m: int) -> Fraction:
+    """Mean fixed points after one lazy pass as the term-by-term sum
+    1 + 2 sum_{k=1..(n-1)//2} q^(2k) (+ q^n for even n), q = 1/(2m + 1)."""
+    q = Fraction(1, 2 * m + 1)
+    if n % 2:
+        return 1 + 2 * sum((q ** (2 * k) for k in range(1, (n - 1) // 2 + 1)), Fraction(0))
+    return 1 + 2 * sum((q ** (2 * k) for k in range(1, n // 2)), Fraction(0)) + q**n
+
+
+def brute_closure(n: int, pairs) -> set[tuple[int, int]]:
+    """Every (i, j) with j reachable from i along the given pairs."""
+    above = {i: {j for a, j in pairs if a == i} for i in range(1, n + 1)}
+    closure = set()
+    for i in range(1, n + 1):
+        stack, seen = list(above[i]), set()
+        while stack:
+            j = stack.pop()
+            if j not in seen:
+                seen.add(j)
+                stack.extend(above[j])
+        closure |= {(i, j) for j in seen}
+    return closure
+
+
+def reference_simulate(args) -> str:
+    """The simulate writer before rows were built once: a list of row
+    dicts, which each format read back (seeded runs only)."""
+    spec = ShuffleSpec(args.n, args.m, args.model)
+    rng = random.Random(args.seed)
+    sampler = models.simulate_riffle if spec.riffle else models.simulate_shelf
+    rows = []
+    for index in range(args.count):
+        _, perm = sampler(spec, rng)
+        row = {"index": index, "permutation": format_permutation(perm)}
+        if args.stats:
+            row["des"] = descents(perm)[0]
+            row["pk"] = peaks(perm)
+            row["lpk"] = row["pk"] + (spec.n >= 2 and perm[0] > perm[1])
+        rows.append(row)
+    if args.format == "json":
+        payload = {"model": spec.model, "n": spec.n, "m": spec.m, "seed": args.seed,
+                   "samples": rows}
+        return json.dumps(payload, indent=2) + "\n"
+    if args.format == "csv":
+        header = ["index", "permutation"] + (["des", "pk", "lpk"] if args.stats else [])
+        lines = [",".join(header)]
+        lines += [",".join(str(row[h]) for h in header) for row in rows]
+        return "\n".join(lines) + "\n"
+    lines = []
+    for row in rows:
+        line = row["permutation"]
+        if args.stats:
+            line += f"  des={row['des']} pk={row['pk']} lpk={row['lpk']}"
+        lines.append(line)
+    return "".join(line + "\n" for line in lines)
+
+
+def reference_tv_table(args) -> str:
+    """The tv-table writer before rows were built once: every distance
+    kept, then rendered by each format (twice per cell in text)."""
+    ms = [int(part) for part in args.m.split(",") if part.strip()]
+    model_list = [args.model] if args.model else list(models.SHELF_MODELS)
+    labels = {model: models.MODELS[model].label for model in model_list}
+    distance = cli._DISTANCES[args.distance]
+    cells = {
+        (model, m): distance(ShuffleSpec(args.n, m, model)) for model in model_list for m in ms
+    }
+
+    def render(value: Fraction) -> str:
+        return exact_str(value) if args.exact else cli.format_fixed(value)
+
+    if args.format == "json":
+        payload = {
+            "n": args.n,
+            "distance": args.distance,
+            "m": ms,
+            "rows": {labels[model]: [render(cells[(model, m)]) for m in ms]
+                     for model in model_list},
+        }
+        return json.dumps(payload, indent=2) + "\n"
+    if args.format == "csv":
+        lines = ["model," + ",".join(str(m) for m in ms)]
+        for model in model_list:
+            lines.append(labels[model] + "," + ",".join(render(cells[(model, m)]) for m in ms))
+        return "\n".join(lines) + "\n"
+    label_w = max(map(len, labels.values()))
+    col_w = max([len(str(m)) for m in ms] + [len(render(v)) for v in cells.values()])
+    lines = [" " * label_w + "  " + "  ".join(str(m).rjust(col_w) for m in ms)]
+    for model in model_list:
+        lines.append(
+            labels[model].ljust(label_w)
+            + "  "
+            + "  ".join(render(cells[(model, m)]).rjust(col_w) for m in ms)
+        )
+    return "\n".join(lines) + "\n"

@@ -35,6 +35,7 @@ from .oracles import (
     parse_exact,
     pow_product_cycle_series,
     recurrence_count_rows,
+    sum_expected_fixed_points,
 )
 
 
@@ -358,6 +359,12 @@ def test_expected_fixed_points_matches_exhaustive():
         )
         assert brute == expected_fixed_points(n, m)
 
+
+
+def test_expected_fixed_points_equals_the_term_by_term_sum():
+    # the closed form's geometric sum, against adding its terms one by one
+    for n, m in itertools.product(range(1, 61), (0, 1, 2, 3, 10, 10**6)):
+        assert expected_fixed_points(n, m) == sum_expected_fixed_points(n, m), (n, m)
 
 def test_joint_statistic_cycle_identity():
     assert verify_joint_lpk_cycle(1, 3).ok

@@ -18,11 +18,11 @@ import pytest
 import shuffle_lab
 from shuffle_lab import analysis, models, orderpoly
 from shuffle_lab.analysis import tv_distance
-from shuffle_lab.cli import format_fixed, main
+from shuffle_lab.cli import build_parser, format_fixed, main
 from shuffle_lab.models import ShuffleSpec
 from shuffle_lab.permutations import descents, inverse, left_peaks, peaks
 
-from .oracles import parse_exact, parse_permutation
+from .oracles import parse_exact, parse_permutation, reference_simulate, reference_tv_table
 
 
 def run(capsys, *argv):
@@ -126,6 +126,28 @@ def test_simulate_negative_count_is_usage_error(capsys):
     assert code == 2 and out == ""
     assert err.startswith("error:") and "--count" in err
 
+
+
+def test_writers_equal_reference_writers(capsys):
+    # simulate and tv-table build each row once; the reference writers keep
+    # every row or cell first and render it per format, as the CLI once did
+    formats = [["--format", fmt] for fmt in ("text", "csv", "json")]
+    runs = [
+        (reference_simulate, ["simulate", "--model", model, "--n", n, "--m", "2", "--seed", "13",
+                              "--count", count, *fmt, *stats])
+        for model in models.MODELS for n in ("1", "6") for count in ("0", "4")
+        for fmt in formats for stats in ([], ["--stats"])
+    ]
+    runs += [
+        (reference_tv_table, ["tv-table", "--n", "7", "--distance", distance, *fmt, *exact, *more])
+        for distance in ("tv", "sep", "linf") for fmt in formats for exact in ([], ["--exact"])
+        # a header wider than every cell sets the text column width
+        for more in ([], ["--model", "riffle-downup"], ["--m", "2,1000000"])
+    ]
+    for reference, argv in runs:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert out == reference(build_parser().parse_args(argv)), argv
 
 def test_output_into_missing_directory_is_io_error(tmp_path, capsys):
     target = tmp_path / "missing" / "table.txt"

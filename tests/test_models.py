@@ -4,7 +4,8 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, prod
+from types import SimpleNamespace
 
 import pytest
 from scipy import stats
@@ -35,6 +36,7 @@ from .oracles import (
     ScriptedRNG,
     brute_statistic_counts,
     compose_loop_convolution,
+    draw_tree_law,
     iter_shelf_placements,
     simulate_riffle_by_scan,
     simulate_riffle_uniform,
@@ -292,6 +294,111 @@ def test_classic_single_pile_is_identity():
         assert perm == (1, 2, 3, 4, 5)
         assert outcome.composition == (5,)
 
+
+
+# Exact laws of the shipped samplers: draw_tree_law runs every sequence of
+# draws through the sampler code, so the deck law it returns is the code's
+# own, and it must equal exact_prob exactly (the chi-square gates above
+# cannot see a small bias).
+
+
+def _exact_law(spec):
+    law = {p: exact_prob(p, spec) for p in all_permutations(spec.n)}
+    return {p: value for p, value in law.items() if value}
+
+
+def _draw_contract(spec):
+    """The widths a pass asks for: n placements on the alphabet, then for
+    a riffle one drop among the t cards left, t = n, ..., 1."""
+    width = pp.alphabet_size(spec.m, spec.mode)
+    drops = tuple(range(spec.n, 0, -1)) if spec.riffle else ()
+    return (width,) * spec.n + drops
+
+
+def _riffle_law_by_cuts(spec):
+    """A riffle's law from one sorted cut per composition of n.
+
+    simulate_riffle reads its n cut draws only through sorted(...), so all
+    orderings of one cut give the same deck for the same drops.  The sorted
+    cut therefore stands for all multinomial(a) of them, each of
+    probability width^-n, and only the n! drop sequences are enumerated."""
+    width, n = pp.alphabet_size(spec.m, spec.mode), spec.n
+    law, widths_seen = Counter(), set()
+    for cut in itertools.product(range(n + 1), repeat=width):
+        if sum(cut) != n:
+            continue
+        orderings = factorial(n) // prod(map(factorial, cut))
+        prefix = [j for j, size in enumerate(cut) for _ in range(size)]
+        part, widths = draw_tree_law(simulate_riffle, spec, prefix, Fraction(orderings, width**n))
+        law.update(part)
+        widths_seen |= widths
+        # the argument, checked on one reordering: the reversed cut deals the same deck
+        drops = [0] * n
+        assert simulate_riffle(spec, ScriptedRNG(prefix[::-1] + drops)) == simulate_riffle(
+            spec, ScriptedRNG(prefix + drops)
+        )
+    return law, widths_seen
+
+
+@pytest.mark.parametrize("model", SHELF_MODELS)
+def test_shelf_law_from_every_draw_sequence(model):
+    spec = ShuffleSpec(6, 2, model)
+    law, widths_seen = draw_tree_law(simulate_shelf, spec)
+    assert widths_seen == {_draw_contract(spec)}
+    assert law == _exact_law(spec)
+
+
+@pytest.mark.parametrize("model", RIFFLE_MODELS)
+def test_riffle_law_from_every_draw_sequence(model):
+    spec = ShuffleSpec(5, 1, model)
+    law, widths_seen = draw_tree_law(simulate_riffle, spec)
+    assert widths_seen == {_draw_contract(spec)}
+    assert law == _exact_law(spec)
+
+
+@pytest.mark.parametrize("model", RIFFLE_MODELS)
+def test_riffle_law_from_sorted_cuts(model):
+    spec = ShuffleSpec(6, 2, model)
+    law, widths_seen = _riffle_law_by_cuts(spec)
+    assert widths_seen == {_draw_contract(spec)}
+    assert law == _exact_law(spec)
+
+
+def _narrow_shelf(spec, rng):
+    # every placement draw one narrower than the alphabet
+    return simulate_shelf(spec, SimpleNamespace(randrange=lambda k: rng.randrange(k - 1)))
+
+
+def _unreversed_shelf(spec, rng):
+    # barred buckets read in arrival order, not reversed
+    values = pp.alphabet(spec.m, spec.mode)
+    buckets = [[] for _ in values]
+    for card in range(1, spec.n + 1):
+        buckets[rng.randrange(len(values))].append(card)
+    return None, tuple(card for bucket in buckets for card in bucket)
+
+
+def _top_drop_riffle(spec, rng):
+    # cards fall from the top of the chosen pile, not the bottom
+    values = pp.alphabet(spec.m, spec.mode)
+    owner = sorted(rng.randrange(len(values)) for _ in range(spec.n))
+    piles = pp.cut_piles(values, [owner.count(j) for j in range(len(values))])
+    bottom_up = [piles[owner.pop(rng.randrange(t))].pop(0) for t in range(spec.n, 0, -1)]
+    return None, tuple(reversed(bottom_up))
+
+
+@pytest.mark.parametrize(
+    "sampler, spec",
+    [
+        (_narrow_shelf, ShuffleSpec(4, 2, "shelf-lazy")),
+        (_unreversed_shelf, ShuffleSpec(4, 2, "shelf-lazy")),
+        (_top_drop_riffle, ShuffleSpec(4, 1, "riffle-updown")),
+    ],
+)
+def test_scripted_law_catches_a_broken_sampler(sampler, spec):
+    law, _ = draw_tree_law(sampler, spec)
+    assert sum(law.values()) == 1
+    assert law != _exact_law(spec)
 
 def test_exact_distribution_examples():
     assert exact_distribution(ShuffleSpec(2, 1, "shelf-lazy")) == ((1, 1), [5, 4], 9, [5, 4])

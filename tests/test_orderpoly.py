@@ -2,6 +2,7 @@
 built on them."""
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -13,6 +14,7 @@ from shuffle_lab.analysis import tv_distance
 from shuffle_lab.models import ShuffleSpec
 from shuffle_lab.orderpoly import (
     EXHAUSTIVE_CAP,
+    _adjacent_swaps,
     check_class_symmetry,
     check_closed_forms,
     check_linear_extension_split,
@@ -39,6 +41,17 @@ from .oracles import (
     product_loop_decomposition,
     right_multiplication_tables,
 )
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_adjacent_swaps_visit_every_permutation_once(n):
+    perm = list(range(1, n + 1))
+    seen = [tuple(perm)]
+    for a in _adjacent_swaps(n):
+        perm[a], perm[a + 1] = perm[a + 1], perm[a]
+        seen.append(tuple(perm))
+    assert len(seen) == len(set(seen)) == math.factorial(n)
+    assert set(seen) == set(all_permutations(n))
 
 
 def test_mode_statistic():

@@ -1,11 +1,14 @@
 """Strict partial orders, linear extensions, and exhaustive generation."""
 
+import itertools
+import random
+
 import pytest
 
 from shuffle_lab.permutations import all_permutations
 from shuffle_lab.posets import Poset, all_posets
 
-from .oracles import is_linear_extension
+from .oracles import brute_closure, is_linear_extension
 
 
 def test_transitive_closure():
@@ -81,3 +84,24 @@ def test_all_posets_yields_distinct_valid_posets():
 def test_all_posets_cap():
     with pytest.raises(ValueError):
         next(all_posets(6))
+
+
+def _random_posets(count, seed):
+    # orient random pairs along a random order, so no cycle can arise
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randrange(1, 8)
+        order = rng.sample(range(1, n + 1), n)
+        pairs = [(order[a], order[b]) for a, b in itertools.combinations(range(n), 2)
+                 if rng.random() < 0.3]
+        yield n, pairs
+
+
+def test_linear_extensions_and_closure_follow_the_definitions():
+    cases = [(n, sorted(poset.relation)) for n in range(1, 5) for poset in all_posets(n)]
+    cases += list(_random_posets(60, 18))
+    for n, pairs in cases:
+        poset = Poset(n, pairs)
+        assert poset.relation == brute_closure(n, pairs)
+        extensions = [p for p in sorted(all_permutations(n)) if is_linear_extension(poset, p)]
+        assert poset.linear_extensions() == extensions
