@@ -13,7 +13,10 @@ The shuffled deck reads shelf 0 (if any), then shelf 1, ..., shelf m, each
 pile top to bottom.  Riffle machines cut the deck multinomially into
 value-ordered piles (classic: m piles; down-up: 2m, odd piles flipped;
 up-down: 2m+1, even piles flipped) and interleave by dropping from pile
-bottoms with probability proportional to remaining pile size.
+bottoms with probability proportional to remaining pile size.  The
+samplers take a random.Random and consume it exactly as the same
+randrange calls would, so a seed gives the same decks and leaves the
+generator in the same state.
 
 Each model's per-permutation law is carried by the statistic of its
 alphabet's mode, read off the permutation (shelf) or off its inverse
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from operator import mul
 
 from . import ppartitions as pp
@@ -131,20 +135,36 @@ def _require(spec: ShuffleSpec, riffle: bool) -> None:
         raise ValueError(f"model {spec.model!r} not in {models}")
 
 
+def _draws(rng, widths) -> list[int]:
+    """[rng.randrange(w) for w in widths], w >= 1, without randrange's two
+    Python frames per draw: the body of Random._randbelow_with_getrandbits
+    inlined, so it makes the same getrandbits calls in the same order and
+    leaves ``rng`` in the same state."""
+    getrandbits = rng.getrandbits
+    out = []
+    for w in widths:
+        k = w.bit_length()
+        r = getrandbits(k)
+        while r >= w:
+            r = getrandbits(k)
+        out.append(r)
+    return out
+
+
 def simulate_shelf(spec: ShuffleSpec, rng) -> tuple[pp.ShuffleOutcome, Perm]:
     """One machine pass: draw a uniform placement per card, return the
     (composition, deck order) outcome and the deck order.
 
     Each card joins the bucket of its draw; the buckets read in value
     order, barred (odd-rank) ones reversed, give pp.sorting_permutation of
-    the drawn map as a counting sort.  ``rng`` needs only randrange(k).
+    the drawn map as a counting sort.  ``rng`` is a random.Random,
+    consumed exactly as n calls of randrange(width) would.
     """
     _require(spec, riffle=False)
     values = pp.alphabet(spec.m, spec.mode)
-    width, randrange = len(values), rng.randrange
     buckets = [[] for _ in values]
-    for card in range(1, spec.n + 1):
-        buckets[randrange(width)].append(card)
+    for card, j in enumerate(_draws(rng, repeat(len(values), spec.n)), 1):
+        buckets[j].append(card)
     order = []
     for v, bucket in zip(values, buckets):
         if bucket:  # most are empty when the alphabet is wide and n small
@@ -157,11 +177,12 @@ def simulate_riffle(spec: ShuffleSpec, rng) -> tuple[pp.ShuffleOutcome, Perm]:
     """One riffle pass via proportional drops from pile bottoms.  The
     sorted cut (n uniform pile choices) is the owner list, the pile of each
     card still held in pile order: a uniform index into it picks a pile in
-    proportion to its size, and popping the index keeps the list true."""
+    proportion to its size, and popping the index keeps the list true.
+    ``rng`` is a random.Random, consumed exactly as randrange would be:
+    n calls at the alphabet width, then one drop each at n, ..., 1."""
     _require(spec, riffle=True)
     values = pp.alphabet(spec.m, spec.mode)
-    width, randrange = len(values), rng.randrange
-    owner = sorted([randrange(width) for _ in range(spec.n)])
+    owner = sorted(_draws(rng, repeat(len(values), spec.n)))
     piles = [[] for _ in values]  # as pp.cut_piles: top to bottom, barred ones flipped
     for card, j in enumerate(owner, 1):
         piles[j].append(card)
@@ -169,7 +190,7 @@ def simulate_riffle(spec: ShuffleSpec, rng) -> tuple[pp.ShuffleOutcome, Perm]:
         if v & 1 and pile:
             pile.reverse()
     sizes = tuple(map(len, piles))
-    bottom_up = [piles[owner.pop(randrange(total))].pop() for total in range(spec.n, 0, -1)]
+    bottom_up = [piles[owner.pop(r)].pop() for r in _draws(rng, range(spec.n, 0, -1))]
     deck = tuple(reversed(bottom_up))
     return pp.ShuffleOutcome(sizes, deck), deck
 

@@ -9,6 +9,8 @@ value-tuple product, products in S_n are taken one pair at a time or
 counted into one Counter per class pair, the reference samplers sort
 the placement map and scan the pile sizes, and the reference writers keep
 every ``simulate`` row and ``tv-table`` cell before rendering them.
+The reference samplers and randrange_draws call randrange, so they pin
+the generator consumption of the samplers' inlined draws.
 
 The library stores a barred value as its integer rank.  The P-partition
 oracles work on BarredInt values instead (magnitude and bar), so they do
@@ -583,11 +585,18 @@ def parse_exact(text: str) -> Fraction:
     return Fraction(int(Decimal(num)), int(Decimal(den or "1")))
 
 
+def randrange_draws(rng, widths) -> list[int]:
+    """models._draws as the plain randrange loop: the draws an rng that
+    has only randrange (ScriptedRNG) can make."""
+    return [rng.randrange(w) for w in widths]
+
+
 class ScriptedRNG:
     """randrange stand-in that replays a fixed list of draws, so a sampler
-    can be driven through a specific placement sequence.  It records the
-    width of every draw asked for; with ``pad``, draws past the end of the
-    script are 0 and join the script."""
+    can be driven through a specific placement sequence (with
+    models._draws patched to randrange_draws: the ``scripted_draws``
+    fixture).  It records the width of every draw asked for; with ``pad``,
+    draws past the end of the script are 0 and join the script."""
 
     def __init__(self, script, pad=False):
         self.script = list(script)

@@ -111,7 +111,7 @@ def test_two_lazy_passes_collapse_to_one():
 # 3. worked nine-card shuffles and the reference sort/bottom-deal
 
 
-def test_worked_shuffles_reproduce_reference_decks():
+def test_worked_shuffles_reproduce_reference_decks(scripted_draws):
     cases = [
         ("shelf-strict", 3, [2, 0, 0, 1, 1, 1, 2, 2, 1], "234569178", (2, 4, 3)),
         ("shelf-standard", 2, [0, 1, 2, 2, 1, 3, 2, 0, 0], "981257436", (3, 2, 3, 1)),

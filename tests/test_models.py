@@ -38,6 +38,7 @@ from .oracles import (
     compose_loop_convolution,
     draw_tree_law,
     iter_shelf_placements,
+    randrange_draws,
     simulate_riffle_by_scan,
     simulate_riffle_uniform,
     simulate_shelf_by_sort,
@@ -147,7 +148,7 @@ def test_riffle_shelf_inverse_duality():
                 assert exact_prob(p, a) == exact_prob(inverse(p), b)
 
 
-def test_simulate_shelf_scripted_worked_examples():
+def test_simulate_shelf_scripted_worked_examples(scripted_draws):
     # strict, m=3: shelves (3,1,1,2,2,2,3,3,2), deck 234569178
     rng = ScriptedRNG([2, 0, 0, 1, 1, 1, 2, 2, 1])
     outcome, perm = simulate_shelf(ShuffleSpec(9, 3, "shelf-strict"), rng)
@@ -170,22 +171,40 @@ def test_simulate_shelf_scripted_worked_examples():
     assert rng.exhausted()
 
 
+# powers of two, one either side of them, and widths past one 32-bit word
+DRAW_WIDTHS = (1, 2, 3, 4, 5, 20, 21, 31, 32, 33, 1000)
+DRAW_WIDTHS += (2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**40 + 3)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+def test_draws_equal_randrange(seed):
+    # models._draws inlines randrange's rejection loop: the same draws and
+    # the same rng state, also where one draw takes several 32-bit words
+    cases = [(w,) * count for w in DRAW_WIDTHS for count in (0, 1, 6, 52, 1000)]
+    cases += [range(n, 0, -1) for n in (0, 1, 2, 6, 52, 1000)]
+    fast, slow = random.Random(seed), random.Random(seed)
+    for widths in cases:
+        assert models._draws(fast, widths) == randrange_draws(slow, widths), widths[:1]
+        assert fast.getstate() == slow.getstate(), widths[:1]
+
+
 # draws per model at each deck size in the reference comparison, spread
-# evenly over its m values (at least 200 per m at n = 52 and 1000)
+# evenly over its m values (at least 133 per m at n = 52 and 1000)
 REFERENCE_DRAWS = {1: 2_000, 2: 2_000, 6: 50_000, 52: 800, 1000: 800}
 
 
 @pytest.mark.parametrize("n", sorted(REFERENCE_DRAWS))
 @pytest.mark.parametrize("model", MODELS)
 def test_samplers_equal_reference_samplers(model, n):
-    # the bucket and owner-list samplers make the reference samplers'
-    # randrange calls in the same order, so one seed gives the same
-    # outcome and deck, draw for draw, and leaves the rng in one state
+    # the bucket and owner-list samplers consume the rng as the reference
+    # samplers' randrange calls do, so one seed gives the same outcome and
+    # deck, draw for draw, and leaves the rng in one state; m = 8 and 16
+    # give widths from a power of two (no rejection) to one past it (most)
     riffle = MODELS[model].riffle
     sampler = simulate_riffle if riffle else simulate_shelf
     reference = simulate_riffle_by_scan if riffle else simulate_shelf_by_sort
     # m = 0 leaves a value only in the full alphabet
-    ms = [m for m in (0, 1, 2, 10) if pp.alphabet_size(m, MODELS[model].mode)]
+    ms = [m for m in (0, 1, 2, 8, 10, 16) if pp.alphabet_size(m, MODELS[model].mode)]
     for m in ms:
         spec = ShuffleSpec(n, m, model)
         fast, slow = random.Random(100 * n + m), random.Random(100 * n + m)
@@ -341,7 +360,7 @@ def _riffle_law_by_cuts(spec):
 
 
 @pytest.mark.parametrize("model", SHELF_MODELS)
-def test_shelf_law_from_every_draw_sequence(model):
+def test_shelf_law_from_every_draw_sequence(model, scripted_draws):
     spec = ShuffleSpec(6, 2, model)
     law, widths_seen = draw_tree_law(simulate_shelf, spec)
     assert widths_seen == {_draw_contract(spec)}
@@ -349,7 +368,7 @@ def test_shelf_law_from_every_draw_sequence(model):
 
 
 @pytest.mark.parametrize("model", RIFFLE_MODELS)
-def test_riffle_law_from_every_draw_sequence(model):
+def test_riffle_law_from_every_draw_sequence(model, scripted_draws):
     spec = ShuffleSpec(5, 1, model)
     law, widths_seen = draw_tree_law(simulate_riffle, spec)
     assert widths_seen == {_draw_contract(spec)}
@@ -357,7 +376,7 @@ def test_riffle_law_from_every_draw_sequence(model):
 
 
 @pytest.mark.parametrize("model", RIFFLE_MODELS)
-def test_riffle_law_from_sorted_cuts(model):
+def test_riffle_law_from_sorted_cuts(model, scripted_draws):
     spec = ShuffleSpec(6, 2, model)
     law, widths_seen = _riffle_law_by_cuts(spec)
     assert widths_seen == {_draw_contract(spec)}
@@ -365,7 +384,7 @@ def test_riffle_law_from_sorted_cuts(model):
 
 
 def _narrow_shelf(spec, rng):
-    # every placement draw one narrower than the alphabet
+    # every placement draw one narrower than the alphabet (needs scripted_draws)
     return simulate_shelf(spec, SimpleNamespace(randrange=lambda k: rng.randrange(k - 1)))
 
 
@@ -395,7 +414,7 @@ def _top_drop_riffle(spec, rng):
         (_top_drop_riffle, ShuffleSpec(4, 1, "riffle-updown")),
     ],
 )
-def test_scripted_law_catches_a_broken_sampler(sampler, spec):
+def test_scripted_law_catches_a_broken_sampler(sampler, spec, scripted_draws):
     law, _ = draw_tree_law(sampler, spec)
     assert sum(law.values()) == 1
     assert law != _exact_law(spec)
