@@ -194,6 +194,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError("--n must be at least 1")
     if args.n is not None and args.n > cap and any(_CHECKS[name][1] is not None for name in names):
         raise ValueError(f"exhaustive verification refuses n > {cap}")
+    if args.self_test_corrupt and args.only not in (None, "decomposition"):
+        raise ValueError(f"--self-test-corrupt corrupts decomposition, not --only {args.only}")
     if args.self_test_corrupt:
         corrupted = _run_check("decomposition", args.n or 3, perturbation=1)
         results = [{"check": "decomposition[corrupted]", **corrupted}]

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from operator import mul
 
 from . import ppartitions as pp
@@ -152,43 +152,27 @@ def _draws(rng, widths) -> list[int]:
 
 
 def simulate_shelf(spec: ShuffleSpec, rng) -> tuple[pp.ShuffleOutcome, Perm]:
-    """One machine pass: draw a uniform placement per card, return the
-    (composition, deck order) outcome and the deck order.
-
-    Each card joins the bucket of its draw; the buckets read in value
-    order, barred (odd-rank) ones reversed, give pp.sorting_permutation of
-    the drawn map as a counting sort.  ``rng`` is a random.Random,
-    consumed exactly as n calls of randrange(width) would.
-    """
+    """One machine pass: deal each card onto the pile of its uniform
+    placement; the piles chained are the deck order, their lengths the
+    composition.  ``rng`` is a random.Random, consumed exactly as n calls
+    of randrange(width) would.  Returns (outcome, deck order)."""
     _require(spec, riffle=False)
     values = pp.alphabet(spec.m, spec.mode)
-    buckets = [[] for _ in values]
-    for card, j in enumerate(_draws(rng, repeat(len(values), spec.n)), 1):
-        buckets[j].append(card)
-    order = []
-    for v, bucket in zip(values, buckets):
-        if bucket:  # most are empty when the alphabet is wide and n small
-            order += reversed(bucket) if v & 1 else bucket
-    deck = tuple(order)
-    return pp.ShuffleOutcome(tuple(map(len, buckets)), deck), deck
+    piles = pp.deal(values, _draws(rng, repeat(len(values), spec.n)))
+    deck = tuple(chain.from_iterable(piles))
+    return pp.ShuffleOutcome(tuple(map(len, piles)), deck), deck
 
 
 def simulate_riffle(spec: ShuffleSpec, rng) -> tuple[pp.ShuffleOutcome, Perm]:
-    """One riffle pass via proportional drops from pile bottoms.  The
-    sorted cut (n uniform pile choices) is the owner list, the pile of each
-    card still held in pile order: a uniform index into it picks a pile in
-    proportion to its size, and popping the index keeps the list true.
-    ``rng`` is a random.Random, consumed exactly as randrange would be:
-    n calls at the alphabet width, then one drop each at n, ..., 1."""
+    """One riffle pass by proportional drops from pile bottoms.  The sorted
+    cut (n uniform pile choices), dealt, gives the piles; as the owner list
+    (each card's pile, in pile order) a uniform index into it picks a pile
+    by size, and popping the index keeps the list true.  ``rng`` is used
+    as n randrange calls at the alphabet width, then at n, ..., 1, would."""
     _require(spec, riffle=True)
     values = pp.alphabet(spec.m, spec.mode)
     owner = sorted(_draws(rng, repeat(len(values), spec.n)))
-    piles = [[] for _ in values]  # as pp.cut_piles: top to bottom, barred ones flipped
-    for card, j in enumerate(owner, 1):
-        piles[j].append(card)
-    for v, pile in zip(values, piles):
-        if v & 1 and pile:
-            pile.reverse()
+    piles = pp.deal(values, owner)
     sizes = tuple(map(len, piles))
     bottom_up = [piles[owner.pop(r)].pop() for r in _draws(rng, range(spec.n, 0, -1))]
     deck = tuple(reversed(bottom_up))

@@ -22,6 +22,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, compress, count
 
 from .permutations import Perm, check_permutation, inverse
 from .posets import Poset
@@ -35,6 +36,7 @@ __all__ = [
     "alphabet",
     "alphabet_size",
     "cut_piles",
+    "deal",
     "enumerate_bounded",
     "format_two_line",
     "format_value",
@@ -173,21 +175,35 @@ def is_p_partition(f: PPartition, poset: Poset, mode: str = "all") -> bool:
     )
 
 
+def deal(values: tuple[int, ...], owner) -> list[list[int]]:
+    """Deal card i onto pile owner[i-1], one pile per value, and return the
+    piles in value order, each top to bottom, barred (odd-rank) ones
+    reversed: chained, the sorting permutation of i -> values[owner[i-1]].
+
+    >>> deal((0, 1, 2), [1, 0, 1, 2, 0])
+    [[2, 5], [3, 1], [4]]
+    """
+    piles = [[] for _ in values]
+    for card, j in enumerate(owner, 1):
+        piles[j].append(card)
+    for j in compress(range(len(piles)), piles):  # the nonempty piles
+        if values[j] & 1:
+            piles[j].reverse()
+    return piles
+
+
 def sorting_permutation(f: PPartition) -> Perm:
-    """The unique permutation whose chain admits f: sort cards by value,
-    breaking ties upward on plain values and downward on barred ones.
+    """The unique permutation whose chain admits f: the deal of f over the
+    values it takes (ties upward on plain values, downward on barred ones).
 
     >>> from shuffle_lab.permutations import format_permutation
     >>> f = (1, 0, 0, 3, 1, 2, 0, 4, 4)  # 1- 0 0 2- 1- 1 0 2 2
     >>> format_permutation(sorting_permutation(f))
     '237516489'
     """
-    return tuple(
-        sorted(
-            range(1, len(f) + 1),
-            key=lambda i: (f[i - 1], -i if f[i - 1] & 1 else i),
-        )
-    )
+    values = sorted(set(f))
+    pile = dict(zip(values, count()))
+    return tuple(chain.from_iterable(deal(values, map(pile.__getitem__, f))))
 
 
 def enumerate_bounded(poset: Poset, m: int, mode: str = "all") -> list[PPartition]:
@@ -270,11 +286,9 @@ def _map_of_arrangement(A: WeakComposition, s: Perm, mode: str) -> PPartition:
     ValueError unless its sorting permutation is inverse(s)."""
     values = _composition_alphabet(A, mode)
     s = check_permutation(s)
-    if any(a < 0 for a in A):
-        raise ValueError("composition has a negative part")
-    if sum(A) != len(s):
+    word = [v for v, pile in zip(values, cut_piles(values, A)) for _ in pile]
+    if len(word) != len(s):
         raise ValueError("composition does not sum to deck size")
-    word = [v for v, a in zip(values, A) for _ in range(a)]
     f = tuple(word[slot - 1] for slot in s)
     if sorting_permutation(f) != inverse(s):
         raise ValueError("arrangement is not consistent with the composition")
@@ -313,14 +327,13 @@ def ppartition_from_shelf_outcome(
 
 def cut_piles(values: tuple[int, ...], A: WeakComposition) -> list[list[int]]:
     """The piles of a riffle cut, in value order, each listed top to
-    bottom: pile j holds the next A[j] cards of the deck, flipped when its
-    value is barred (odd rank)."""
-    piles, start = [], 1
-    for v, a in zip(values, A):
-        block = list(range(start, start + a))
-        piles.append(block[::-1] if v & 1 else block)
-        start += a
-    return piles
+    bottom: pile j, the next A[j] cards of the deck, dealt.  ValueError
+    unless A has one nonnegative part per value."""
+    if len(A) != len(values):
+        raise ValueError(f"composition has {len(A)} parts for {len(values)} values")
+    if any(a < 0 for a in A):
+        raise ValueError("composition has a negative part")
+    return deal(values, [j for j, a in enumerate(A) for _ in range(a)])
 
 
 def pile_poset(A: WeakComposition, mode: str) -> Poset:

@@ -7,8 +7,11 @@ relation (not just covering pairs), statistics are counted by scanning
 windows, bounded-partition sets come from filtering the complete
 value-tuple product, products in S_n are taken one pair at a time or
 counted into one Counter per class pair, the reference samplers sort
-the placement map and scan the pile sizes, and the reference writers keep
-every ``simulate`` row and ``tv-table`` cell before rendering them.
+the placement map on one key per card, cut the deck into blocks and
+scan the pile sizes (none of them calls ppartitions.deal, which the
+library's samplers, cut and sorting permutation share), and the
+reference writers keep every ``simulate`` row and ``tv-table`` cell
+before rendering them.
 The reference samplers and randrange_draws call randrange, so they pin
 the generator consumption of the samplers' inlined draws.
 
@@ -60,7 +63,6 @@ from shuffle_lab.ppartitions import (
     PPartition,
     ShuffleOutcome,
     alphabet,
-    cut_piles,
     parse_value,
 )
 
@@ -469,6 +471,28 @@ def by_label_enumerate(poset: Poset, m: int, mode: str) -> list[tuple[BarredInt,
     return out
 
 
+def key_sorting_permutation(f: PPartition) -> Perm:
+    """Reference sorting permutation, a sort on one key per card: by value,
+    ties upward on plain values and downward on barred (odd-rank) ones."""
+    return tuple(
+        sorted(
+            range(1, len(f) + 1),
+            key=lambda i: (f[i - 1], -i if f[i - 1] & 1 else i),
+        )
+    )
+
+
+def block_cut_piles(values: tuple[int, ...], A) -> list[list[int]]:
+    """Reference riffle cut: pile j is the next A[j] cards of the deck as
+    one block, flipped when its value is barred (odd rank)."""
+    piles, start = [], 1
+    for v, a in zip(values, A):
+        block = list(range(start, start + a))
+        piles.append(block[::-1] if v & 1 else block)
+        start += a
+    return piles
+
+
 def simulate_shelf_by_sort(spec: ShuffleSpec, rng) -> tuple[ShuffleOutcome, Perm]:
     """Reference shelf sampler, the placement map's sorting permutation:
     the same randrange calls as models.simulate_shelf, so the same seed
@@ -480,7 +504,7 @@ def simulate_shelf_by_sort(spec: ShuffleSpec, rng) -> tuple[ShuffleOutcome, Perm
     counts = [0] * width
     for d in draws:
         counts[d] += 1
-    perm = pp.sorting_permutation(tuple(values[d] for d in draws))
+    perm = key_sorting_permutation(tuple(values[d] for d in draws))
     return pp.ShuffleOutcome(tuple(counts), perm), perm
 
 
@@ -498,7 +522,7 @@ def simulate_riffle_by_scan(spec: ShuffleSpec, rng) -> tuple[ShuffleOutcome, Per
     sizes: the same randrange calls as models.simulate_riffle."""
     models._require(spec, riffle=True)
     sizes = _riffle_cut(spec, rng)
-    piles = pp.cut_piles(pp.alphabet(spec.m, spec.mode), sizes)
+    piles = block_cut_piles(pp.alphabet(spec.m, spec.mode), sizes)
     bottom_up: list[int] = []
     for total in range(spec.n, 0, -1):  # cards left in the piles
         r = rng.randrange(total)
@@ -518,7 +542,7 @@ def simulate_riffle_uniform(spec: ShuffleSpec, rng) -> tuple[ShuffleOutcome, Per
     if not spec.riffle:
         raise ValueError(f"model {spec.model!r} is not a riffle")
     sizes = _riffle_cut(spec, rng)
-    piles = cut_piles(alphabet(spec.m, spec.mode), sizes)
+    piles = block_cut_piles(alphabet(spec.m, spec.mode), sizes)
     word = [idx for idx, a in enumerate(sizes) for _ in range(a)]
     for i in range(len(word) - 1, 0, -1):
         j = rng.randrange(i + 1)

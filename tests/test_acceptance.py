@@ -8,8 +8,10 @@ is a red test with the offending case in the assertion message.
 """
 
 import math
+import multiprocessing
 import random
 import time
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import lru_cache
 
@@ -229,7 +231,8 @@ def test_cycle_machinery_exact():
 
 
 # ---------------------------------------------------------------------------
-# 7. all six samplers against their exact laws, 10^6 draws each
+# 7. all six samplers against their exact laws, 10^6 draws each; two
+# worker processes only draw and count, the parent tests the counts
 
 CHI_SQUARE_SEEDS = {
     "shelf-lazy": 101,
@@ -239,19 +242,29 @@ CHI_SQUARE_SEEDS = {
     "riffle-downup": 105,
     "riffle-classic": 106,
 }
+CHI_SQUARE_N, CHI_SQUARE_M, CHI_SQUARE_DRAWS = 6, 2, 10**6
+
+
+def _sampled_deck_counts(model: str) -> dict:
+    """How often each deck order came up in the model's seeded draws."""
+    spec = ShuffleSpec(CHI_SQUARE_N, CHI_SQUARE_M, model)
+    rng = random.Random(CHI_SQUARE_SEEDS[model])
+    sampler = simulate_shelf if model in SHELF_MODELS else simulate_riffle
+    counts = dict.fromkeys(all_permutations(spec.n), 0)
+    for _ in range(CHI_SQUARE_DRAWS):
+        counts[sampler(spec, rng)[1]] += 1
+    return counts
 
 
 def test_samplers_follow_exact_laws():
-    n, m, draws = 6, 2, 10**6
+    draws = CHI_SQUARE_DRAWS
+    spawn = multiprocessing.get_context("spawn")  # fresh workers: nothing inherited
+    with ProcessPoolExecutor(max_workers=2, mp_context=spawn) as pool:
+        sampled = dict(zip(MODELS, pool.map(_sampled_deck_counts, MODELS)))
     details = []
-    for model in MODELS:
-        spec = ShuffleSpec(n, m, model)
-        probs = {p: exact_prob(p, spec) for p in all_permutations(n)}
-        rng = random.Random(CHI_SQUARE_SEEDS[model])
-        sampler = simulate_shelf if model in SHELF_MODELS else simulate_riffle
-        counts = dict.fromkeys(probs, 0)
-        for _ in range(draws):
-            counts[sampler(spec, rng)[1]] += 1
+    for model, counts in sampled.items():
+        spec = ShuffleSpec(CHI_SQUARE_N, CHI_SQUARE_M, model)
+        probs = {p: exact_prob(p, spec) for p in all_permutations(spec.n)}
         for p, pr in probs.items():
             if pr == 0:
                 assert counts[p] == 0, (model, p)

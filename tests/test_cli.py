@@ -293,6 +293,20 @@ def test_verify_corrupt_self_test_fails(capsys):
     code, out, _ = run(capsys, "verify", "--self-test-corrupt")
     assert code == 1
     assert out.startswith("FAIL decomposition[corrupted]")
+    # the corrupted run is the decomposition check, so --only may name it
+    code, out, _ = run(capsys, "verify", "--self-test-corrupt", "--only", "decomposition")
+    assert code == 1
+    assert out.startswith("FAIL decomposition[corrupted]")
+
+
+def test_verify_corrupt_self_test_rejects_other_checks(capsys):
+    names = ("convention", "monotonicity", "group-algebra", "fundamental", "oracle",
+             "cycles", "fixed-points", "joint")
+    for name in names:
+        code, out, err = run(capsys, "verify", "--self-test-corrupt", "--only", name)
+        assert (code, out) == (2, ""), name
+        assert err.startswith("error: ") and err.count("\n") == 1, name
+        assert f"--only {name}" in err, name
 
 
 def test_verify_decomposition_reports_first_mismatch(capsys):

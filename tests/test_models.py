@@ -196,7 +196,7 @@ REFERENCE_DRAWS = {1: 2_000, 2: 2_000, 6: 50_000, 52: 800, 1000: 800}
 @pytest.mark.parametrize("n", sorted(REFERENCE_DRAWS))
 @pytest.mark.parametrize("model", MODELS)
 def test_samplers_equal_reference_samplers(model, n):
-    # the bucket and owner-list samplers consume the rng as the reference
+    # the dealing samplers consume the rng as the reference
     # samplers' randrange calls do, so one seed gives the same outcome and
     # deck, draw for draw, and leaves the rng in one state; m = 8 and 16
     # give widths from a power of two (no rejection) to one past it (most)

@@ -5,6 +5,7 @@ Maps are rank tuples: 0, 1-, 1, 2-, 2, ... are the ranks 0, 1, 2, 3, 4, ...
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -13,12 +14,14 @@ from shuffle_lab.permutations import (
     format_permutation,
     inverse,
 )
+from shuffle_lab import ppartitions
 from shuffle_lab.posets import Poset, all_posets
 from shuffle_lab.ppartitions import (
     MODES,
     ShuffleOutcome,
     alphabet,
     alphabet_size,
+    cut_piles,
     enumerate_bounded,
     format_two_line,
     format_value,
@@ -34,10 +37,12 @@ from shuffle_lab.ppartitions import (
 from .oracles import (
     BarredInt,
     bar,
+    block_cut_piles,
     bottom_deal_permutation,
     brute_enumerate,
     brute_is_p_partition,
     by_label_enumerate,
+    key_sorting_permutation,
     parse_two_line,
     ranks,
 )
@@ -140,6 +145,79 @@ def test_each_map_belongs_to_exactly_its_sorting_chain():
             members = set(enumerate_bounded(Poset.chain(p), 2, "all"))
             for f in maps:
                 assert (f in members) == (sorting_permutation(f) == p)
+
+
+# deal is the one pile rule behind the samplers, the riffle cut and the
+# sorting permutation; these checks hold it to the key sort and the block
+# cut of tests/oracles.py, and each reads ppartitions.deal at call time, so
+# the negative control below can swap in a broken deal.
+
+
+def _deal_differs(values, owner):
+    """Whether deal(values, owner) differs from an oracle: the key sort of
+    the map i -> values[owner[i-1]], split by owner, or, for the sorted
+    owner list, the block cut of the owner counts."""
+    by_key = [[] for _ in values]
+    for card in key_sorting_permutation(tuple(values[j] for j in owner)):
+        by_key[owner[card - 1]].append(card)
+    counts = [0] * len(values)
+    for j in owner:
+        counts[j] += 1
+    return (ppartitions.deal(values, owner) != by_key
+            or ppartitions.deal(values, sorted(owner)) != block_cut_piles(values, counts))
+
+
+def _first_deal_mismatch():
+    for mode in MODES:
+        for m in range(3):
+            values = alphabet(m, mode)
+            for n in range(6):
+                for owner in itertools.product(range(len(values)), repeat=n):
+                    if _deal_differs(values, owner):
+                        return mode, m, owner
+    rng = random.Random(20)
+    for mode in MODES:
+        for m, decks in ((10, 20), (10**5, 1)):
+            values = alphabet(m, mode)
+            for _ in range(decks):
+                owner = [rng.randrange(len(values)) for _ in range(1000)]
+                if _deal_differs(values, owner):
+                    return mode, m, owner
+    return None
+
+
+def _first_sorting_mismatch():
+    for n in range(7):
+        for f in itertools.product(range(7), repeat=n):
+            if sorting_permutation(f) != key_sorting_permutation(f):
+                return f
+    rng = random.Random(21)
+    for top in (2, 20, 2 * 10**6):
+        for _ in range(30):
+            f = tuple(rng.randrange(top + 1) for _ in range(1000))
+            if sorting_permutation(f) != key_sorting_permutation(f):
+                return f
+    return None
+
+
+def test_deal_equals_key_sort_and_block_cut():
+    assert _first_deal_mismatch() is None
+
+
+def test_sorting_permutation_equals_key_sort():
+    assert _first_sorting_mismatch() is None
+
+
+def test_unreversed_deal_fails_the_deal_checks(monkeypatch):
+    def unreversed(values, owner):
+        piles = [[] for _ in values]
+        for card, j in enumerate(owner, 1):
+            piles[j].append(card)
+        return piles
+
+    monkeypatch.setattr(ppartitions, "deal", unreversed)
+    assert _first_deal_mismatch() == ("all", 1, (1, 1))
+    assert _first_sorting_mismatch() == (1, 1)
 
 
 def test_is_p_partition_membership_example():
@@ -258,6 +336,18 @@ def test_pile_poset_flips_barred_piles():
     assert set(poset.covers()) == expected
     with pytest.raises(ValueError, match="unknown mode"):
         pile_poset((3, 4, 3, 4, 2), "up-down")  # a riffle's name, not a mode
+
+
+def test_cut_piles_rejects_malformed_compositions():
+    values = alphabet(1, "all")
+    assert cut_piles(values, (2, 0, 1)) == [[1, 2], [], [3]]
+    with pytest.raises(ValueError, match="negative part"):
+        cut_piles(values, (2, -1, 1))  # would deal card 2 twice
+    with pytest.raises(ValueError, match="negative part"):
+        pile_poset((2, -1, 1), "all")
+    for A in ((1, 1, 1, 1), (1, 1)):  # one part per value, no card lost
+        with pytest.raises(ValueError, match="parts for 3 values"):
+            cut_piles(values, A)
 
 
 def test_riffle_outcome_image_multiset():
