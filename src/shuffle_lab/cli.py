@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import analysis, models, orderpoly, ppartitions
 from .analysis import exact_str
-from .permutations import descents, format_permutation, peaks
+from .permutations import descents, peaks, permutation_formatter
 
 __all__ = ["main", "entry"]
 
@@ -55,6 +55,9 @@ def _emit(text: str, path: str | None) -> None:
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.count < 0:
         raise ValueError("--count must be nonnegative")
+    # random.Random seeds from |seed|, so -5 would draw the decks of 5
+    if args.seed is not None and args.seed < 0:
+        raise ValueError("--seed must be nonnegative")
     spec = models.ShuffleSpec(args.n, args.m, args.model)
     seed = args.seed
     if seed is None:  # draw one and report it, so the run can be repeated
@@ -62,13 +65,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if args.format != "json":
             print(f"seed: {seed}", file=sys.stderr)
     rng = random.Random(seed)
-    sampler = models.simulate_riffle if spec.riffle else models.simulate_shelf
+    render = permutation_formatter(spec.n)
     names = ("index", "permutation") + (("des", "pk", "lpk") if args.stats else ())
 
     def rows():  # one tuple per deck, drawn as the writer asks for it
-        for index in range(args.count):
-            _, perm = sampler(spec, rng)
-            row = (index, format_permutation(perm))
+        for index, perm in enumerate(models.decks(spec, rng, args.count)):
+            row = (index, render(perm))
             if args.stats:
                 pk = peaks(perm)
                 # left_peaks(perm), without counting the peaks again
@@ -76,14 +78,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             yield row
 
     if args.format == "json":
-        payload = {
-            "model": spec.model,
-            "n": spec.n,
-            "m": spec.m,
-            "seed": seed,
-            "samples": [dict(zip(names, row)) for row in rows()],
-        }
-        text = json.dumps(payload, indent=2) + "\n"
+        header = {"model": spec.model, "n": spec.n, "m": spec.m, "seed": seed, "samples": []}
+        head, tail = json.dumps(header, indent=2).rsplit("[]", 1)
+        # the bytes json.dumps(payload, indent=2) gives, one template per
+        # sample; a permutation string holds only digits and commas, so it
+        # needs no escaping
+        template = "    {\n%s\n    }" % ",\n".join(
+            f'      "{name}": ' + ('"%s"' if name == "permutation" else "%d") for name in names
+        )
+        samples = ",\n".join(template % row for row in rows())
+        text = head + (f"[\n{samples}\n  ]" if samples else "[]") + tail + "\n"
     elif args.format == "csv":
         text = ",".join(names) + "\n" + "".join(",".join(map(str, row)) + "\n" for row in rows())
     else:

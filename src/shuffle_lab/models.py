@@ -16,7 +16,8 @@ up-down: 2m+1, even piles flipped) and interleave by dropping from pile
 bottoms with probability proportional to remaining pile size.  The
 samplers take a random.Random and consume it exactly as the same
 randrange calls would, so a seed gives the same decks and leaves the
-generator in the same state.
+generator in the same state.  decks draws many passes of one machine
+with the same per-pass code, building no outcome.
 
 Each model's per-permutation law is carried by the statistic of its
 alphabet's mode, read off the permutation (shelf) or off its inverse
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import mul
+from typing import Iterator
 
 from . import ppartitions as pp
 from .orderpoly import (
@@ -51,6 +53,7 @@ __all__ = [
     "SHELF_MODELS",
     "ShuffleSpec",
     "convolve",
+    "decks",
     "exact_distribution",
     "exact_prob",
     "group_algebra_product_check",
@@ -151,32 +154,62 @@ def _draws(rng, widths) -> list[int]:
     return out
 
 
+def _shelf_piles(values: tuple[int, ...], n: int, rng) -> list[list[int]]:
+    """One shelf pass: each card dealt onto the pile of its uniform
+    placement; chained, the piles are the deck order."""
+    return pp.deal(values, _draws(rng, repeat(len(values), n)))
+
+
+def _riffle_cut(values: tuple[int, ...], n: int, rng) -> tuple[list[int], list[list[int]]]:
+    """The sorted cut of one riffle pass, n uniform pile choices: the owner
+    list (each card's pile, in pile order) and the dealt piles."""
+    owner = sorted(_draws(rng, repeat(len(values), n)))
+    return owner, pp.deal(values, owner)
+
+
+def _riffle_drops(owner: list[int], piles: list[list[int]], rng) -> Perm:
+    """Drop from pile bottoms with probability proportional to pile size:
+    a uniform index into the owner list picks a pile by size, and popping
+    the index keeps the list true.  Empties both; returns the deck."""
+    bottom_up = [piles[owner.pop(r)].pop() for r in _draws(rng, range(len(owner), 0, -1))]
+    return tuple(reversed(bottom_up))
+
+
 def simulate_shelf(spec: ShuffleSpec, rng) -> tuple[pp.ShuffleOutcome, Perm]:
     """One machine pass: deal each card onto the pile of its uniform
     placement; the piles chained are the deck order, their lengths the
     composition.  ``rng`` is a random.Random, consumed exactly as n calls
     of randrange(width) would.  Returns (outcome, deck order)."""
     _require(spec, riffle=False)
-    values = pp.alphabet(spec.m, spec.mode)
-    piles = pp.deal(values, _draws(rng, repeat(len(values), spec.n)))
+    piles = _shelf_piles(pp.alphabet(spec.m, spec.mode), spec.n, rng)
     deck = tuple(chain.from_iterable(piles))
     return pp.ShuffleOutcome(tuple(map(len, piles)), deck), deck
 
 
 def simulate_riffle(spec: ShuffleSpec, rng) -> tuple[pp.ShuffleOutcome, Perm]:
-    """One riffle pass by proportional drops from pile bottoms.  The sorted
-    cut (n uniform pile choices), dealt, gives the piles; as the owner list
-    (each card's pile, in pile order) a uniform index into it picks a pile
-    by size, and popping the index keeps the list true.  ``rng`` is used
-    as n randrange calls at the alphabet width, then at n, ..., 1, would."""
+    """One riffle pass by proportional drops from pile bottoms after a
+    sorted cut.  ``rng`` is used as n randrange calls at the alphabet
+    width, then at n, ..., 1, would.  Returns (outcome, deck order)."""
     _require(spec, riffle=True)
-    values = pp.alphabet(spec.m, spec.mode)
-    owner = sorted(_draws(rng, repeat(len(values), spec.n)))
-    piles = pp.deal(values, owner)
+    owner, piles = _riffle_cut(pp.alphabet(spec.m, spec.mode), spec.n, rng)
     sizes = tuple(map(len, piles))
-    bottom_up = [piles[owner.pop(r)].pop() for r in _draws(rng, range(spec.n, 0, -1))]
-    deck = tuple(reversed(bottom_up))
+    deck = _riffle_drops(owner, piles, rng)
     return pp.ShuffleOutcome(sizes, deck), deck
+
+
+def decks(spec: ShuffleSpec, rng, count: int) -> Iterator[Perm]:
+    """The deck orders of ``count`` passes of the spec's machine, each the
+    one simulate_shelf or simulate_riffle would return, drawn in the same
+    order, so ``rng`` ends in the same state.  The alphabet is looked up
+    once, and no composition or outcome is built."""
+    values, n = pp.alphabet(spec.m, spec.mode), spec.n
+    if spec.riffle:
+        for _ in range(count):
+            owner, piles = _riffle_cut(values, n, rng)
+            yield _riffle_drops(owner, piles, rng)
+    else:
+        for _ in range(count):
+            yield tuple(chain.from_iterable(_shelf_piles(values, n, rng)))
 
 
 def exact_prob(p: Perm, spec: ShuffleSpec) -> Fraction:

@@ -15,7 +15,7 @@ of ``i``.  Everything is 1-indexed to match the usual one-line notation.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 __all__ = [
     "Perm",
@@ -29,6 +29,7 @@ __all__ = [
     "inverse",
     "left_peaks",
     "peaks",
+    "permutation_formatter",
     "statistic",
 ]
 
@@ -135,13 +136,28 @@ def fixed_points(p: Perm) -> int:
     return sum(1 for i, pi in enumerate(p, start=1) if pi == i)
 
 
+def permutation_formatter(n: int) -> Callable[[Perm], str]:
+    """format_permutation for permutations of {1..n}: each entry's digits
+    are read off a table of labels built once, not made by one str() per
+    entry.  No separator for n <= 9, commas beyond.
+
+    >>> permutation_formatter(10)((10, 1, 2, 3, 4, 5, 6, 7, 8, 9))
+    '10,1,2,3,4,5,6,7,8,9'
+    """
+    labels = [str(v) for v in range(n + 1)]  # labels[v] == str(v)
+    join = ("" if n <= 9 else ",").join
+
+    def render(p: Perm) -> str:
+        return join([labels[v] for v in p])
+
+    return render
+
+
 def format_permutation(p: Perm) -> str:
-    """Compact digit string for n <= 9, comma-separated beyond.
+    """Compact digit string for n <= 9, comma-separated beyond; p is a
+    permutation of {1..n}.
 
     >>> format_permutation((2, 3, 7, 5, 1, 6, 4, 8, 9))
     '237516489'
     """
-    if len(p) <= 9:
-        return "".join(str(v) for v in p)
-    return ",".join(str(v) for v in p)
-
+    return permutation_formatter(len(p))(p)

@@ -11,7 +11,8 @@ the placement map on one key per card, cut the deck into blocks and
 scan the pile sizes (none of them calls ppartitions.deal, which the
 library's samplers, cut and sorting permutation share), and the
 reference writers keep every ``simulate`` row and ``tv-table`` cell
-before rendering them.
+before rendering them, a deck by one str() per card and JSON by
+json.dumps.
 The reference samplers and randrange_draws call randrange, so they pin
 the generator consumption of the samplers' inlined draws.
 
@@ -52,7 +53,6 @@ from shuffle_lab.permutations import (
     check_permutation,
     compose,
     descents,
-    format_permutation,
     inverse,
     peaks,
     statistic,
@@ -693,16 +693,24 @@ def brute_closure(n: int, pairs) -> set[tuple[int, int]]:
     return closure
 
 
+def str_format_permutation(p: Perm) -> str:
+    """format_permutation before its label table: one str() per entry."""
+    if len(p) <= 9:
+        return "".join(str(v) for v in p)
+    return ",".join(str(v) for v in p)
+
+
 def reference_simulate(args) -> str:
-    """The simulate writer before rows were built once: a list of row
-    dicts, which each format read back (seeded runs only)."""
+    """The simulate writer before rows were built once: one sampler call
+    per deck and a list of row dicts, which each format read back (seeded
+    runs only)."""
     spec = ShuffleSpec(args.n, args.m, args.model)
     rng = random.Random(args.seed)
     sampler = models.simulate_riffle if spec.riffle else models.simulate_shelf
     rows = []
     for index in range(args.count):
         _, perm = sampler(spec, rng)
-        row = {"index": index, "permutation": format_permutation(perm)}
+        row = {"index": index, "permutation": str_format_permutation(perm)}
         if args.stats:
             row["des"] = descents(perm)[0]
             row["pk"] = peaks(perm)

@@ -28,12 +28,11 @@ from shuffle_lab.analysis import (
 from shuffle_lab.cli import format_fixed
 from shuffle_lab.models import (
     MODELS,
-    SHELF_MODELS,
     ShuffleSpec,
     convolve,
+    decks,
     exact_prob,
     group_algebra_product_check,
-    simulate_riffle,
     simulate_shelf,
 )
 from shuffle_lab.orderpoly import (
@@ -249,10 +248,9 @@ def _sampled_deck_counts(model: str) -> dict:
     """How often each deck order came up in the model's seeded draws."""
     spec = ShuffleSpec(CHI_SQUARE_N, CHI_SQUARE_M, model)
     rng = random.Random(CHI_SQUARE_SEEDS[model])
-    sampler = simulate_shelf if model in SHELF_MODELS else simulate_riffle
     counts = dict.fromkeys(all_permutations(spec.n), 0)
-    for _ in range(CHI_SQUARE_DRAWS):
-        counts[sampler(spec, rng)[1]] += 1
+    for deck in decks(spec, rng, CHI_SQUARE_DRAWS):  # the generator simulate runs
+        counts[deck] += 1
     return counts
 
 

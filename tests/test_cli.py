@@ -128,14 +128,33 @@ def test_simulate_negative_count_is_usage_error(capsys):
 
 
 
+@pytest.mark.parametrize("seed", ["-5", "-1"])
+def test_simulate_negative_seed_is_usage_error(capsys, seed):
+    # random.Random seeds from |seed|: -5 would draw the decks of 5
+    code, out, err = run(capsys, "simulate", "--model", "shelf-lazy", "--n", "4",
+                         "--m", "1", "--seed", seed, "--format", "json")
+    assert code == 2 and out == ""
+    assert err == "error: --seed must be nonnegative\n"
+
+
+def test_simulate_seed_zero_is_valid(capsys):
+    argv = ["simulate", "--model", "shelf-lazy", "--n", "4", "--m", "1", "--seed", "0",
+            "--format", "json"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["seed"] == 0
+    assert out == reference_simulate(build_parser().parse_args(argv))
+
+
 def test_writers_equal_reference_writers(capsys):
     # simulate and tv-table build each row once; the reference writers keep
-    # every row or cell first and render it per format, as the CLI once did
+    # every row or cell first and render it per format, as the CLI once did.
+    # n = 10 is the first comma-separated deck; one JSON sample has no comma
     formats = [["--format", fmt] for fmt in ("text", "csv", "json")]
     runs = [
         (reference_simulate, ["simulate", "--model", model, "--n", n, "--m", "2", "--seed", "13",
                               "--count", count, *fmt, *stats])
-        for model in models.MODELS for n in ("1", "6") for count in ("0", "4")
+        for model in models.MODELS for n in ("1", "6", "10", "52") for count in ("0", "1", "4")
         for fmt in formats for stats in ([], ["--stats"])
     ]
     runs += [
@@ -368,10 +387,10 @@ def test_cycles_corrupted_series_is_usage_error(capsys, monkeypatch):
 ])
 def test_memory_error_is_usage_error(capsys, monkeypatch, message, line):
     # a failed allocation raises a bare MemoryError, with an empty message
-    def exhausted(spec, rng):
+    def exhausted(spec, rng, count):
         raise MemoryError(message)
 
-    monkeypatch.setattr(models, "simulate_shelf", exhausted)
+    monkeypatch.setattr(models, "decks", exhausted)
     code, out, err = run(capsys, "simulate", "--model", "shelf-lazy", "--n", "4",
                          "--m", "1", "--seed", "1")
     assert code == 2 and out == ""

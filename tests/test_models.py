@@ -18,6 +18,7 @@ from shuffle_lab.models import (
     SHELF_MODELS,
     ShuffleSpec,
     convolve,
+    decks,
     exact_distribution,
     exact_prob,
     group_algebra_product_check,
@@ -211,6 +212,27 @@ def test_samplers_equal_reference_samplers(model, n):
         for _ in range(REFERENCE_DRAWS[n] // len(ms)):
             assert sampler(spec, fast) == reference(spec, slow), spec
         assert fast.getstate() == slow.getstate(), spec
+
+
+# passes per case in the deck generator comparison
+DECKS_COUNTS = {1: 50, 2: 50, 6: 50, 52: 10, 1000: 2}
+
+
+@pytest.mark.parametrize("n", sorted(DECKS_COUNTS))
+@pytest.mark.parametrize("model", MODELS)
+def test_decks_equal_sampler_calls(model, n):
+    # decks draws exactly the deck orders of count sampler calls and leaves
+    # the rng in the same state; zero passes draw nothing
+    sampler = simulate_riffle if MODELS[model].riffle else simulate_shelf
+    for m in (0, 1, 2, 8, 10, 16):
+        if not pp.alphabet_size(m, MODELS[model].mode):
+            continue
+        spec = ShuffleSpec(n, m, model)
+        for count in (0, 1, DECKS_COUNTS[n]):
+            fast, slow = random.Random(100 * n + m), random.Random(100 * n + m)
+            drawn = list(decks(spec, fast, count))
+            assert drawn == [sampler(spec, slow)[1] for _ in range(count)], (spec, count)
+            assert fast.getstate() == slow.getstate(), (spec, count)
 
 
 def test_simulate_shelf_outcome_is_consistent():

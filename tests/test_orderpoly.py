@@ -374,6 +374,11 @@ def test_check_monotonicity(monkeypatch):
         "identity": "monotonicity", "n": 8, "m": 3, "mode": "all", "ok": False,
         "checked": 1, "first_mismatch": {"k": 0, "lhs": "3", "rhs": "5"},
     }
+    # the last class is compared against 0: a negative count fails there
+    monkeypatch.setattr(orderpoly, "op_vector", lambda n, m, mode: [5, 4, -1])
+    report = check_monotonicity(8, 3, "all")
+    assert not report.ok and report.checked == 3
+    assert report.first_mismatch == {"k": 2, "lhs": "-1", "rhs": "0"}
 
 
 def test_check_class_symmetry(monkeypatch):

@@ -1,6 +1,7 @@
 """Statistics and algebra of one-line permutations."""
 
 import itertools
+import random
 
 import pytest
 
@@ -16,10 +17,11 @@ from shuffle_lab.permutations import (
     inverse,
     left_peaks,
     peaks,
+    permutation_formatter,
     statistic,
 )
 
-from .oracles import parse_permutation
+from .oracles import parse_permutation, str_format_permutation
 
 EX = parse_permutation("237516489")
 
@@ -146,6 +148,17 @@ def test_format_parse_round_trip():
     assert parse_permutation(format_permutation(long)) == long
     for p in all_permutations(4):
         assert parse_permutation(format_permutation(p)) == p
+
+
+def test_formatter_equals_one_str_per_entry():
+    # the label table renders every entry as str() did, commas from n = 10
+    rng = random.Random(22)
+    for n in [*range(1, 13), 52, 1000]:
+        render = permutation_formatter(n)
+        cases = [tuple(range(1, n + 1)), tuple(range(n, 0, -1))]
+        cases += [tuple(rng.sample(range(1, n + 1), n)) for _ in range(5)]
+        for p in cases:
+            assert render(p) == format_permutation(p) == str_format_permutation(p), p[:12]
 
 
 def test_check_permutation_rejects_non_permutations():
