@@ -26,8 +26,8 @@ from decimal import Decimal
 from fractions import Fraction
 
 from .models import ShuffleSpec, exact_distribution, exact_prob
-from .orderpoly import IdentityReport, count_table, gf_coefficients, statistic_range
-from .permutations import all_permutations, cycle_type_partition, fixed_points, left_peaks
+from .orderpoly import IdentityReport, compare_cases, count_table
+from .permutations import all_permutations, cycle_type_partition
 
 __all__ = [
     "AsymptoticReport",
@@ -254,24 +254,27 @@ def cycle_distribution(spec: ShuffleSpec) -> dict[tuple[int, ...], Fraction]:
     return {part: Fraction(c, total) for part, c in counts}
 
 
+def _cycle_law(n: int, m: int) -> dict[tuple[int, ...], Fraction]:
+    """The chance of each cycle type after one lazy pass, totalled from
+    exact_prob over all of S_n: the exhaustive side of the cycle checks.
+    Every cycle type of S_n is a key, even one of probability 0."""
+    spec = ShuffleSpec(n, m, "shelf-lazy")
+    law: dict[tuple[int, ...], Fraction] = {}
+    for p in all_permutations(n):
+        part = cycle_type_partition(p)
+        law[part] = law.get(part, 0) + exact_prob(p, spec)
+    return law
+
+
 def check_cycle_distribution(n: int, m: int) -> IdentityReport:
     """cycle_distribution of one lazy pass equals the exhaustive totals of
     exact_prob over S_n, cycle type by cycle type (a type missing from
     either side counts as probability 0)."""
-    spec = ShuffleSpec(n, m, "shelf-lazy")
-    expected: dict[tuple[int, ...], Fraction] = {}
-    for p in all_permutations(n):
-        part = cycle_type_partition(p)
-        expected[part] = expected.get(part, Fraction(0)) + exact_prob(p, spec)
-    table = cycle_distribution(spec)
-    params = {"n": n, "m": m}
-    types = sorted(set(expected) | set(table))
-    for checked, part in enumerate(types, start=1):
-        lhs, rhs = expected.get(part, 0), table.get(part, 0)
-        if lhs != rhs:
-            mismatch = {"type": list(part), "lhs": str(lhs), "rhs": str(rhs)}
-            return IdentityReport("cycle-distribution", params, False, checked, mismatch)
-    return IdentityReport("cycle-distribution", params, True, len(types))
+    law = _cycle_law(n, m)
+    table = cycle_distribution(ShuffleSpec(n, m, "shelf-lazy"))
+    types = sorted(set(law) | set(table))
+    cases = ((law.get(part, 0), table.get(part, 0), part) for part in types)
+    return compare_cases("cycle-distribution", {"n": n, "m": m}, ("type",), cases)
 
 
 def expected_fixed_points(n: int, m: int) -> Fraction:
@@ -293,43 +296,29 @@ def expected_fixed_points(n: int, m: int) -> Fraction:
 
 
 def check_expected_fixed_points(n: int, m: int) -> IdentityReport:
-    """expected_fixed_points(n, m) equals the exhaustive mean of
-    fixed_points under exact_prob over S_n: one case."""
-    spec = ShuffleSpec(n, m, "shelf-lazy")
-    brute = sum(exact_prob(p, spec) * fixed_points(p) for p in all_permutations(n))
-    formula = expected_fixed_points(n, m)
-    params = {"n": n, "m": m}
-    if brute != formula:
-        mismatch = {"lhs": str(brute), "rhs": str(formula)}
-        return IdentityReport("expected-fixed-points", params, False, 1, mismatch)
-    return IdentityReport("expected-fixed-points", params, True, 1)
+    """expected_fixed_points(n, m) equals the exhaustive mean of the ones
+    in each cycle type under exact_prob over S_n: one case."""
+    brute = sum(prob * part.count(1) for part, prob in _cycle_law(n, m).items())
+    return compare_cases(
+        "expected-fixed-points", {"n": n, "m": m}, (), [(brute, expected_fixed_points(n, m))]
+    )
 
 
 def verify_joint_lpk_cycle(n: int, m_max: int) -> IdentityReport:
-    """For each m <= m_max, group S_n by cycle type, total the left-peak
-    generating kernel's t^m coefficient over each group, and compare with
-    the degree-n coefficients of the product series.  Exact equality
-    required."""
+    """For each m <= m_max, total the left-peak kernel's t^m coefficient,
+    op_chain(n, lpk pi, m) = (2m+1)^n exact_prob(pi) for the lazy shelf,
+    over each cycle type of S_n, and compare with the degree-n coefficients
+    of the product series.  Exact equality required."""
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
     if n > 6 or m_max > 4:
         raise ValueError("joint identity check capped at n <= 6, m_max <= 4")
-    per_k = {
-        k: gf_coefficients(n, k, "all", m_max + 1)
-        for k in statistic_range("lpk", n)
-    }
-    by_type: dict[tuple[int, ...], list[int]] = {}
-    for p in all_permutations(n):
-        by_type.setdefault(cycle_type_partition(p), []).append(left_peaks(p))
-    params = {"n": n, "m_max": m_max}
-    checked = 0
-    for m in range(1, m_max + 1):
-        series = cycle_count_series(n, m)
-        for part in sorted(set(by_type) | set(series)):
-            lhs = sum(per_k[k][m] for k in by_type.get(part, []))
-            rhs = series.get(part, 0)
-            checked += 1
-            if lhs != rhs:
-                mismatch = {"m": m, "type": list(part), "lhs": str(lhs), "rhs": str(rhs)}
-                return IdentityReport("joint-lpk-cycle", params, False, checked, mismatch)
-    return IdentityReport("joint-lpk-cycle", params, True, checked)
+
+    def cases():
+        for m in range(1, m_max + 1):
+            law, series = _cycle_law(n, m), cycle_count_series(n, m)
+            scale = (2 * m + 1) ** n
+            for part in sorted(set(law) | set(series)):
+                yield scale * law.get(part, 0), series.get(part, 0), m, part
+
+    return compare_cases("joint-lpk-cycle", {"n": n, "m_max": m_max}, ("m", "type"), cases())

@@ -38,6 +38,7 @@ from . import ppartitions as pp
 from .orderpoly import (
     IdentityReport,
     _factorization_sums,
+    compare_cases,
     convolved_bound,
     count_table,
     mode_statistic,
@@ -281,12 +282,8 @@ def group_algebra_product_check(n: int, k: int, l: int, model: str) -> IdentityR
     assert a.total_outcomes * b.total_outcomes == c.total_outcomes
     first, second = (l, k) if a.riffle else (k, l)
     sums, entries = _factorization_sums(n, first, second, a.mode)
-    params = {"n": n, "k": k, "l": l, "model": model}
     row_of = {p: row for p, _, row in entries}
-    for checked, p in enumerate(row_of, start=1):
-        lhs = Fraction(sums[row_of[inverse(p) if a.riffle else p]], c.total_outcomes)
-        rhs = exact_prob(p, c)
-        if lhs != rhs:
-            mismatch = {"pi": list(p), "lhs": str(lhs), "rhs": str(rhs)}
-            return IdentityReport("group-algebra-convolution", params, False, checked, mismatch)
-    return IdentityReport("group-algebra-convolution", params, True, len(row_of))
+    cases = ((Fraction(sums[row_of[inverse(p) if a.riffle else p]], c.total_outcomes),
+              exact_prob(p, c), p) for p in row_of)
+    params = {"n": n, "k": k, "l": l, "model": model}
+    return compare_cases("group-algebra-convolution", params, ("pi",), cases)

@@ -4,7 +4,7 @@ verification of the identities the shuffle analysis rests on: two-pass
 decomposition, monotonicity in the statistic, the symmetry of the
 class-product tables, the closed forms against enumeration, and the split
 of bounded P-partitions over linear extensions.  Every check returns an
-IdentityReport.
+IdentityReport, most of them through one comparison loop, compare_cases.
 
 Everything is exact integer arithmetic.  For a chain labeled by a
 permutation, the count depends only on (n, statistic, bound m), with the
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from operator import itemgetter, mul
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .permutations import Perm, all_permutations, statistic
 from .posets import Poset, all_posets
@@ -37,6 +37,7 @@ __all__ = [
     "check_closed_forms",
     "check_linear_extension_split",
     "check_monotonicity",
+    "compare_cases",
     "convolved_bound",
     "count_table",
     "gf_coefficients",
@@ -271,6 +272,25 @@ class IdentityReport:
         return d
 
 
+def compare_cases(
+    identity: str, params: dict, fields: tuple[str, ...], cases: Iterable[tuple]
+) -> IdentityReport:
+    """The report of an identity checked case by case, each case (lhs, rhs,
+    *values of fields): stop at the first case whose sides differ, count
+    the cases up to and including it, and report its fields (tuples as
+    lists), then lhs and rhs as strings.  check_monotonicity (an order, not
+    equality), check_class_symmetry (counts permutations, not pairs) and
+    check_linear_extension_split (compares sets, reports "unmatched") keep
+    their own loops."""
+    checked = 0
+    for checked, case in enumerate(cases, start=1):
+        if case[0] != case[1]:
+            values = (list(v) if isinstance(v, tuple) else v for v in case[2:])
+            mismatch = {**dict(zip(fields, values)), "lhs": str(case[0]), "rhs": str(case[1])}
+            return IdentityReport(identity, params, False, checked, mismatch)
+    return IdentityReport(identity, params, True, checked)
+
+
 def _adjacent_swaps(n: int) -> Iterator[int]:
     """Positions a (0-based) such that swapping entries a, a + 1 in turn,
     starting from the identity, visits every permutation of S_n exactly
@@ -403,14 +423,10 @@ def verify_decomposition(
         raise ValueError(f"exhaustive check capped at n <= {EXHAUSTIVE_CAP}")
     if k < 0 or l < 0:
         raise ValueError("bounds must be nonnegative")
-    params = {"n": n, "k": k, "l": l, "mode": mode}
-    lhs, entries = _factorization_sums(n, k, l, mode)
-    rhs = op_vector(n, convolved_bound(k, l, mode) + perturbation, mode)
-    for checked, (p, stat, row) in enumerate(entries, start=1):
-        if lhs[row] != rhs[stat]:
-            mismatch = {"pi": list(p), "lhs": str(lhs[row]), "rhs": str(rhs[stat])}
-            return IdentityReport("decomposition", params, False, checked, mismatch)
-    return IdentityReport("decomposition", params, True, len(entries))
+    sums, entries = _factorization_sums(n, k, l, mode)
+    single = op_vector(n, convolved_bound(k, l, mode) + perturbation, mode)
+    cases = ((sums[row], single[stat], p) for p, stat, row in entries)
+    return compare_cases("decomposition", {"n": n, "k": k, "l": l, "mode": mode}, ("pi",), cases)
 
 
 def check_monotonicity(n: int, m: int, mode: str = "all") -> IdentityReport:
@@ -450,20 +466,12 @@ def check_closed_forms(n: int, m_max: int) -> IdentityReport:
     """op_of_perm(pi, m, mode) equals the number of bounded P-partitions
     of the chain pi(1) < ... < pi(n), enumerated, for every pi in S_n,
     every mode and every m <= m_max.  Each chain is built once."""
-    params = {"n": n, "m_max": m_max}
-    checked = 0
-    for p in all_permutations(n):
-        chain = Poset.chain(p)
-        for mode in MODES:
-            for m in range(m_max + 1):
-                closed = op_of_perm(p, m, mode)
-                count = len(enumerate_bounded(chain, m, mode))
-                checked += 1
-                if closed != count:
-                    mismatch = {"pi": list(p), "mode": mode, "m": m,
-                                "lhs": str(closed), "rhs": str(count)}
-                    return IdentityReport("closed-forms", params, False, checked, mismatch)
-    return IdentityReport("closed-forms", params, True, checked)
+    cases = (
+        (op_of_perm(p, m, mode), len(enumerate_bounded(chain, m, mode)), p, mode, m)
+        for p in all_permutations(n) for chain in [Poset.chain(p)]
+        for mode in MODES for m in range(m_max + 1)
+    )
+    return compare_cases("closed-forms", {"n": n, "m_max": m_max}, ("pi", "mode", "m"), cases)
 
 
 def check_linear_extension_split(n: int, m_max: int) -> IdentityReport:

@@ -298,13 +298,15 @@ def test_cycle_distribution_examples():
         cycle_distribution(ShuffleSpec(2, 1, "shelf-strict"))
 
 
-def test_cycle_distribution_rejects_a_corrupted_series(monkeypatch):
-    def bumped(n, m):
-        series = cycle_count_series(n, m)
-        series[(n,)] += 1
-        return series
+def bumped_series(n, m):
+    """cycle_count_series one off at the n-cycle."""
+    series = cycle_count_series(n, m)
+    series[(n,)] += 1
+    return series
 
-    monkeypatch.setattr(analysis, "cycle_count_series", bumped)
+
+def test_cycle_distribution_rejects_a_corrupted_series(monkeypatch):
+    monkeypatch.setattr(analysis, "cycle_count_series", bumped_series)
     with pytest.raises(ValueError, match="do not sum to 1"):
         cycle_distribution(ShuffleSpec(4, 1, "shelf-lazy"))
 
@@ -366,7 +368,7 @@ def test_expected_fixed_points_equals_the_term_by_term_sum():
     for n, m in itertools.product(range(1, 61), (0, 1, 2, 3, 10, 10**6)):
         assert expected_fixed_points(n, m) == sum_expected_fixed_points(n, m), (n, m)
 
-def test_joint_statistic_cycle_identity():
+def test_joint_statistic_cycle_identity(monkeypatch):
     assert verify_joint_lpk_cycle(1, 3).ok
     assert verify_joint_lpk_cycle(3, 1).ok
     report = verify_joint_lpk_cycle(5, 2)
@@ -379,6 +381,11 @@ def test_joint_statistic_cycle_identity():
     # m_max = 0 would check no case at all
     with pytest.raises(ValueError, match="m_max must be at least 1"):
         verify_joint_lpk_cycle(3, 0)
+    # a series one off at the n-cycle fails there, the last type of m = 1
+    monkeypatch.setattr(analysis, "cycle_count_series", bumped_series)
+    report = verify_joint_lpk_cycle(4, 2)
+    assert not report.ok and report.checked == 5
+    assert report.first_mismatch == {"m": 1, "type": [4], "lhs": "20", "rhs": "21"}
 
 
 def test_check_cycle_distribution(monkeypatch):

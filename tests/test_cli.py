@@ -235,10 +235,7 @@ def test_verify_single_checks(capsys):
     assert payload[0]["check"] == "oracle" and payload[0]["ok"] is True
 
 
-def test_verify_convention_checks_table_symmetry(capsys, monkeypatch):
-    # --n 1 still checks a case per statistic
-    code, out, _ = run(capsys, "verify", "--only", "convention", "--n", "1")
-    assert code == 0 and out.startswith("PASS convention") and ", 3 cases:" in out
+def _skew_class_products(monkeypatch):
     honest = orderpoly._class_products
 
     def skewed(n, kind):
@@ -250,6 +247,81 @@ def test_verify_convention_checks_table_symmetry(capsys, monkeypatch):
         return (tuple(row),) + rows[1:], entries
 
     monkeypatch.setattr(orderpoly, "_class_products", skewed)
+
+
+def _offset_convolved_bound(monkeypatch):
+    honest = orderpoly.convolved_bound
+    monkeypatch.setattr(orderpoly, "convolved_bound", lambda k, l, mode: honest(k, l, mode) + 1)
+
+
+def _riffle_law_without_inverse(monkeypatch):
+    honest = models.exact_prob
+    monkeypatch.setattr(
+        models, "exact_prob", lambda p, spec: honest(inverse(p) if spec.riffle else p, spec)
+    )
+
+
+def _drop_one_map(monkeypatch):
+    honest = orderpoly.enumerate_bounded
+
+    def drop_one(poset, m, mode):
+        maps = honest(poset, m, mode)
+        return maps[1:] if len(poset.linear_extensions()) > 1 else maps
+
+    monkeypatch.setattr(orderpoly, "enumerate_bounded", drop_one)
+
+
+def _bump(module, name):
+    """A corruption adding 1 to what module.name returns."""
+    def corrupt(monkeypatch):
+        honest = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: honest(*args) + 1)
+    return corrupt
+
+
+def _drop_n_cycle(monkeypatch):
+    honest = analysis.cycle_distribution
+
+    def missing(spec):
+        table = honest(spec)
+        del table[(spec.n,)]
+        return table
+
+    monkeypatch.setattr(analysis, "cycle_distribution", missing)
+
+
+def _bump_n_cycle_count(monkeypatch):
+    honest = analysis.cycle_count_series
+
+    def bumped(n, m):
+        series = honest(n, m)
+        series[(n,)] += 1
+        return series
+
+    monkeypatch.setattr(analysis, "cycle_count_series", bumped)
+
+
+# one corruption per verify check, each one its unit tests use (decomposition:
+# the bound offset that --self-test-corrupt applies through its perturbation)
+CORRUPTIONS = {
+    "convention": _skew_class_products,
+    "decomposition": _offset_convolved_bound,
+    "monotonicity": lambda monkeypatch: monkeypatch.setattr(
+        orderpoly, "op_vector", lambda n, m, mode: [3, 5, 4]),
+    "group-algebra": _riffle_law_without_inverse,
+    "fundamental": _drop_one_map,
+    "oracle": _bump(orderpoly, "op_of_perm"),
+    "cycles": _drop_n_cycle,
+    "fixed-points": _bump(analysis, "expected_fixed_points"),
+    "joint": _bump_n_cycle_count,
+}
+
+
+def test_verify_convention_checks_table_symmetry(capsys, monkeypatch):
+    # --n 1 still checks a case per statistic
+    code, out, _ = run(capsys, "verify", "--only", "convention", "--n", "1")
+    assert code == 0 and out.startswith("PASS convention") and ", 3 cases:" in out
+    _skew_class_products(monkeypatch)
     code, out, _ = run(capsys, "verify", "--only", "convention")
     assert code == 1 and out.startswith("FAIL convention") and "'n': 2" in out
 
@@ -285,13 +357,18 @@ def test_verify_runs_the_nine_checks_in_order(capsys):
 
 def test_verify_group_algebra_covers_the_riffles(capsys, monkeypatch):
     # a riffle law that forgets the inverse must fail the convolution check
-    original = models.exact_prob
-    monkeypatch.setattr(
-        models, "exact_prob", lambda p, spec: original(inverse(p) if spec.riffle else p, spec)
-    )
+    _riffle_law_without_inverse(monkeypatch)
     code, out, _ = run(capsys, "verify", "--only", "group-algebra")
     assert code == 1
     assert out.startswith("FAIL group-algebra") and "riffle-updown" in out
+
+
+@pytest.mark.parametrize("name", list(CORRUPTIONS))
+def test_every_check_can_fail_through_the_cli(capsys, monkeypatch, name):
+    CORRUPTIONS[name](monkeypatch)
+    code, out, _ = run(capsys, "verify", "--only", name)
+    assert code == 1
+    assert out.startswith(f"FAIL {name}: mismatch: ") and out.count("\n") == 1
 
 
 def test_verify_rejects_large_n(capsys):
@@ -368,14 +445,7 @@ def test_cycles_probabilities_sum_to_one(capsys):
 
 
 def test_cycles_corrupted_series_is_usage_error(capsys, monkeypatch):
-    honest = analysis.cycle_count_series
-
-    def bumped(n, m):
-        series = honest(n, m)
-        series[(n,)] += 1
-        return series
-
-    monkeypatch.setattr(analysis, "cycle_count_series", bumped)
+    _bump_n_cycle_count(monkeypatch)
     code, out, err = run(capsys, "cycles", "--n", "4", "--m", "1")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "do not sum to 1" in err
@@ -525,6 +595,30 @@ def test_package_imports_form_a_dag():
         leaves = {name for name, deps in graph.items() if not deps & graph.keys()}
         assert leaves, f"import cycle among {sorted(graph)}"
         graph = {name: deps for name, deps in graph.items() if name not in leaves}
+
+
+def test_module_level_imports_are_pinned():
+    # every command first pays for `import shuffle_lab.cli`, and one module
+    # such as dataclasses is a third of it: an import added at module level
+    # must extend this set on purpose (function-level imports are free)
+    def module_level(node):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                yield child
+                yield from module_level(child)
+
+    found = set()
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in module_level(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                found.add(node.module.split(".")[0])
+    assert found == {
+        "__future__", "argparse", "bisect", "collections", "dataclasses", "decimal",
+        "fractions", "functools", "itertools", "json", "math", "operator", "random", "sys",
+        "typing",
+    }
 
 
 @pytest.mark.skipif(shutil.which("shuffle-lab") is None,

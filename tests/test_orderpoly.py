@@ -338,6 +338,25 @@ def test_class_products_count_factorizations():
             assert list(rows[row]) == expected, (n, kind, p)
 
 
+def one_row_per_class(entries) -> bool:
+    """Whether every pi of a statistic class has the same class-product row."""
+    return len({(stat, row) for _, stat, row in entries}) == len({stat for _, stat, _ in entries})
+
+
+def test_class_products_are_closed_on_classes():
+    # N_ij(pi) depends on pi only through stat pi, so the class sums span a
+    # subalgebra: Eulerian (des), peak (pk) and left-peak (lpk)
+    for n, kind in itertools.product(range(1, 7), ("lpk", "pk", "des")):
+        _, entries = orderpoly._class_products(n, kind)
+        assert one_row_per_class(entries), (n, kind)
+    # negative control: (1, 2, 4, 3), one of the 11 with one descent, moved
+    # to the row of the identity, alone in its class
+    _, entries = orderpoly._class_products(4, "des")
+    (_, _, row), (p, stat, _) = entries[:2]
+    assert (p, stat) == ((1, 2, 4, 3), 1)
+    assert not one_row_per_class((entries[0], (p, stat, row), *entries[2:]))
+
+
 def test_verify_decomposition_negative_control():
     report = verify_decomposition(3, 2, 2, "positive", perturbation=1)
     assert not report.ok
