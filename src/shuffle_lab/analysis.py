@@ -14,20 +14,26 @@ generating function
     1/(1 - z_1 u) * prod_i ((1 + z_i u^i)/(1 - z_i u^i))^f(i, m)
 
 to its degree-n coefficients only: integers indexed by cycle type, which
-divided by (2m+1)^n are probabilities.
+divided by (2m+1)^n are probabilities.  The cycle checks compare them with
+exhaustive totals in the same integers: a lazy pass's law is constant on
+lpk classes, so one count of S_n by (cycle type, lpk) per n, weighted by
+the chain counts op_vector(n, m, "all"), gives every cycle type's total
+at every m.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 
-from .models import ShuffleSpec, exact_distribution, exact_prob
-from .orderpoly import IdentityReport, compare_cases, count_table
-from .permutations import all_permutations, cycle_type_partition
+from .models import ShuffleSpec, exact_distribution
+from .orderpoly import IdentityReport, compare_cases, count_table, op_vector
+from .permutations import all_permutations, cycle_type_partition, left_peaks
 
 __all__ = [
     "AsymptoticReport",
@@ -76,23 +82,24 @@ def _tv(n, counts, ops, total, masses) -> Fraction:
 
 
 def sep_distance(spec: ShuffleSpec) -> Fraction:
-    """Separation distance; by monotonicity it is attained at the
-    statistic extremes k = 0 or k = k_max."""
+    """Separation distance 1 - n! min P(pi), set by the least likely
+    class."""
     return _sep(spec.n, *exact_distribution(spec))
 
 
 def _sep(n, counts, ops, total, masses) -> Fraction:
-    return Fraction(total - math.factorial(n) * min(ops[0], ops[-1]), total)
+    return Fraction(total - math.factorial(n) * min(ops), total)
 
 
 def linf_distance(spec: ShuffleSpec) -> Fraction:
-    """l-infinity distance max |n! prob - 1|, again from the extremes."""
+    """l-infinity distance max |n! prob - 1|, set by the least or the most
+    likely class."""
     return _linf(spec.n, *exact_distribution(spec))
 
 
 def _linf(n, counts, ops, total, masses) -> Fraction:
     nfact = math.factorial(n)
-    return Fraction(max(abs(nfact * op - total) for op in (ops[0], ops[-1])), total)
+    return Fraction(max(abs(nfact * op - total) for op in (min(ops), max(ops))), total)
 
 
 def exact_str(value: int | Fraction) -> str:
@@ -254,26 +261,37 @@ def cycle_distribution(spec: ShuffleSpec) -> dict[tuple[int, ...], Fraction]:
     return {part: Fraction(c, total) for part, c in counts}
 
 
-def _cycle_law(n: int, m: int) -> dict[tuple[int, ...], Fraction]:
-    """The chance of each cycle type after one lazy pass, totalled from
-    exact_prob over all of S_n: the exhaustive side of the cycle checks.
+@lru_cache(maxsize=None)
+def _cycle_lpk_table(n: int) -> tuple[tuple[tuple[tuple[int, ...], int], int], ...]:
+    """J_n as ((cycle type, lpk), count) pairs: how many permutations of
+    S_n have each cycle type and left-peak count, from one pass over S_n.
+    Every cycle type of S_n appears."""
+    pairs = ((cycle_type_partition(p), left_peaks(p)) for p in all_permutations(n))
+    return tuple(Counter(pairs).items())
+
+
+def _cycle_law(n: int, m: int) -> dict[tuple[int, ...], int]:
+    """(2m+1)^n times the chance of each cycle type after one lazy pass,
+    the exhaustive side of the cycle checks.  A lazy pass gives every
+    permutation of lpk class k the chain count op_vector(n, m, "all")[k]
+    out of (2m+1)^n, so a cycle type totals sum_k J_n(type, k) op[k].
     Every cycle type of S_n is a key, even one of probability 0."""
-    spec = ShuffleSpec(n, m, "shelf-lazy")
-    law: dict[tuple[int, ...], Fraction] = {}
-    for p in all_permutations(n):
-        part = cycle_type_partition(p)
-        law[part] = law.get(part, 0) + exact_prob(p, spec)
+    ops = op_vector(n, m, "all")
+    law: dict[tuple[int, ...], int] = {}
+    for (part, k), count in _cycle_lpk_table(n):
+        law[part] = law.get(part, 0) + count * ops[k]
     return law
 
 
 def check_cycle_distribution(n: int, m: int) -> IdentityReport:
-    """cycle_distribution of one lazy pass equals the exhaustive totals of
-    exact_prob over S_n, cycle type by cycle type (a type missing from
+    """cycle_distribution of one lazy pass equals the exhaustive totals
+    over S_n (_cycle_law), cycle type by cycle type (a type missing from
     either side counts as probability 0)."""
     law = _cycle_law(n, m)
+    total = (2 * m + 1) ** n
     table = cycle_distribution(ShuffleSpec(n, m, "shelf-lazy"))
     types = sorted(set(law) | set(table))
-    cases = ((law.get(part, 0), table.get(part, 0), part) for part in types)
+    cases = ((Fraction(law.get(part, 0), total), table.get(part, 0), part) for part in types)
     return compare_cases("cycle-distribution", {"n": n, "m": m}, ("type",), cases)
 
 
@@ -297,18 +315,17 @@ def expected_fixed_points(n: int, m: int) -> Fraction:
 
 def check_expected_fixed_points(n: int, m: int) -> IdentityReport:
     """expected_fixed_points(n, m) equals the exhaustive mean of the ones
-    in each cycle type under exact_prob over S_n: one case."""
-    brute = sum(prob * part.count(1) for part, prob in _cycle_law(n, m).items())
-    return compare_cases(
-        "expected-fixed-points", {"n": n, "m": m}, (), [(brute, expected_fixed_points(n, m))]
-    )
+    in each cycle type over S_n (_cycle_law): one case."""
+    ones = sum(count * part.count(1) for part, count in _cycle_law(n, m).items())
+    cases = [(Fraction(ones, (2 * m + 1) ** n), expected_fixed_points(n, m))]
+    return compare_cases("expected-fixed-points", {"n": n, "m": m}, (), cases)
 
 
 def verify_joint_lpk_cycle(n: int, m_max: int) -> IdentityReport:
     """For each m <= m_max, total the left-peak kernel's t^m coefficient,
-    op_chain(n, lpk pi, m) = (2m+1)^n exact_prob(pi) for the lazy shelf,
-    over each cycle type of S_n, and compare with the degree-n coefficients
-    of the product series.  Exact equality required."""
+    op_chain(n, lpk pi, m), the lazy shelf's (2m+1)^n P(pi), over each
+    cycle type of S_n (_cycle_law), and compare with the degree-n
+    coefficients of the product series.  Exact equality required."""
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
     if n > 6 or m_max > 4:
@@ -317,8 +334,7 @@ def verify_joint_lpk_cycle(n: int, m_max: int) -> IdentityReport:
     def cases():
         for m in range(1, m_max + 1):
             law, series = _cycle_law(n, m), cycle_count_series(n, m)
-            scale = (2 * m + 1) ** n
             for part in sorted(set(law) | set(series)):
-                yield scale * law.get(part, 0), series.get(part, 0), m, part
+                yield law.get(part, 0), series.get(part, 0), m, part
 
     return compare_cases("joint-lpk-cycle", {"n": n, "m_max": m_max}, ("m", "type"), cases())

@@ -281,20 +281,6 @@ def _composition_alphabet(A: WeakComposition, mode: str) -> tuple[int, ...]:
     return alphabet(lookup_mode(mode).bound(len(A)), mode)
 
 
-def _map_of_arrangement(A: WeakComposition, s: Perm, mode: str) -> PPartition:
-    """The map giving card i the value A counts at deck slot s(i);
-    ValueError unless its sorting permutation is inverse(s)."""
-    values = _composition_alphabet(A, mode)
-    s = check_permutation(s)
-    word = [v for v, pile in zip(values, cut_piles(values, A)) for _ in pile]
-    if len(word) != len(s):
-        raise ValueError("composition does not sum to deck size")
-    f = tuple(word[slot - 1] for slot in s)
-    if sorting_permutation(f) != inverse(s):
-        raise ValueError("arrangement is not consistent with the composition")
-    return f
-
-
 def shelf_outcome_from_ppartition(
     f: PPartition, m: int, mode: str = "all"
 ) -> ShuffleOutcome:
@@ -319,10 +305,11 @@ def ppartition_from_shelf_outcome(
 
     The shelf count is read off the composition length; the permutation
     must be tie-consistent with the composition (exactly the arrangements
-    the machine can produce), otherwise ValueError.
+    the machine can produce), otherwise ValueError.  A shelf deck p is the
+    riffle arrangement inverse(p) of the same map.
     """
     p = check_permutation(outcome.permutation)
-    return _map_of_arrangement(outcome.composition, inverse(p), mode)
+    return riffle_outcome_to_ppartition(outcome.composition, inverse(p), mode)
 
 
 def cut_piles(values: tuple[int, ...], A: WeakComposition) -> list[list[int]]:
@@ -351,9 +338,18 @@ def riffle_outcome_to_ppartition(A: WeakComposition, s: Perm, mode: str) -> PPar
     deck arrangement after interleaving.  The image multiset of the result
     is forced by A, and its sorting permutation is inverse(s).  Raises
     ValueError when s does not respect the pile order, i.e. is not a
-    linear extension of pile_poset(A, mode).
+    linear extension of pile_poset(A, mode).  Card i gets the value A
+    counts at deck slot s(i).
     """
-    return _map_of_arrangement(A, s, mode)
+    values = _composition_alphabet(A, mode)
+    s = check_permutation(s)
+    word = [v for v, pile in zip(values, cut_piles(values, A)) for _ in pile]
+    if len(word) != len(s):
+        raise ValueError("composition does not sum to deck size")
+    f = tuple(word[slot - 1] for slot in s)
+    if sorting_permutation(f) != inverse(s):
+        raise ValueError("arrangement is not consistent with the composition")
+    return f
 
 
 # ---------------------------------------------------------------------------

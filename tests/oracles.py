@@ -6,7 +6,8 @@ routes the library replaced: order preservation is checked over the full
 relation (not just covering pairs), statistics are counted by scanning
 windows, bounded-partition sets come from filtering the complete
 value-tuple product, products in S_n are taken one pair at a time or
-counted into one Counter per class pair, the reference samplers sort
+counted into one Counter per class pair, cycle-type laws are totalled
+from exact_prob one permutation at a time, the reference samplers sort
 the placement map on one key per card, cut the deck into blocks and
 scan the pile sizes (none of them calls ppartitions.deal, which the
 library's samplers, cut and sorting permutation share), and the
@@ -52,6 +53,7 @@ from shuffle_lab.permutations import (
     all_permutations,
     check_permutation,
     compose,
+    cycle_type_partition,
     descents,
     inverse,
     peaks,
@@ -667,6 +669,18 @@ def draw_tree_law(sampler, spec: ShuffleSpec, prefix=(), weight=Fraction(1)):
     for (deck, width_product), count in leaves.items():
         law[deck] += Fraction(count, width_product) * weight
     return law, widths_seen
+
+
+def walk_cycle_law(n: int, m: int) -> dict[tuple[int, ...], Fraction]:
+    """The chance of each cycle type after one lazy pass, totalled from
+    models.exact_prob over all of S_n, one permutation at a time.  Every
+    cycle type of S_n is a key, even one of probability 0."""
+    spec = ShuffleSpec(n, m, "shelf-lazy")
+    law: dict[tuple[int, ...], Fraction] = {}
+    for p in all_permutations(n):
+        part = cycle_type_partition(p)
+        law[part] = law.get(part, 0) + models.exact_prob(p, spec)
+    return law
 
 
 def sum_expected_fixed_points(n: int, m: int) -> Fraction:

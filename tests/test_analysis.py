@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from shuffle_lab.analysis import (
     tv_distance,
     verify_joint_lpk_cycle,
 )
+from shuffle_lab.cli import format_fixed
 from shuffle_lab.models import MODELS, ShuffleSpec, exact_distribution, exact_prob
 from shuffle_lab.orderpoly import statistic_range
 from shuffle_lab.permutations import all_permutations, cycle_type_partition, fixed_points
@@ -36,6 +38,7 @@ from .oracles import (
     pow_product_cycle_series,
     recurrence_count_rows,
     sum_expected_fixed_points,
+    walk_cycle_law,
 )
 
 
@@ -167,6 +170,30 @@ def test_extreme_classes_attain_sep_and_linf():
         linf_full = max(abs(Fraction(nfact * op, total) - 1) for op in ops)
         assert sep_distance(spec) == sep_full
         assert linf_distance(spec) == linf_full
+
+
+@pytest.mark.parametrize("n, ops", [(4, [3, 1, 2]), (6, [1, 0, 1, 1])])
+def test_sep_and_linf_do_not_lean_on_monotonicity(n, ops):
+    # hand-made laws whose least likely class is a middle one (at n = 6 it
+    # is also the furthest from uniform); each class is in the law's support
+    counts = count_table(n, "lpk")
+    masses = [c * op for c, op in zip(counts, ops)]
+    total, nfact = sum(masses), math.factorial(n)
+    sep_full = max(1 - Fraction(nfact * op, total) for op in ops)
+    linf_full = max(abs(Fraction(nfact * op, total) - 1) for op in ops)
+    assert analysis._sep(n, counts, ops, total, masses) == sep_full
+    assert analysis._linf(n, counts, ops, total, masses) == linf_full
+
+
+def test_bayer_diaconis_riffle_row():
+    # the 52-card row of "Trailing the dovetail shuffle to its lair" (Bayer
+    # and Diaconis, 1992): tv distance after k = 1..10 riffle shuffles, and k
+    # riffle shuffles are one 2^k-shuffle; published reference data, not to
+    # be edited
+    row = ["1.000", "1.000", "1.000", "1.000", "0.924",
+           "0.614", "0.334", "0.167", "0.085", "0.043"]
+    assert [format_fixed(tv_distance(ShuffleSpec(52, 2**k, "riffle-classic")), 3)
+            for k in range(1, 11)] == row
 
 
 def test_asymptotic_compare():
@@ -406,6 +433,41 @@ def test_check_cycle_distribution(monkeypatch):
     report = check_cycle_distribution(4, 1)
     assert not report.ok and report.checked == 5
     assert report.first_mismatch == {"type": [4], "lhs": "20/81", "rhs": "0"}
+
+
+def test_cycle_lpk_table_totals_are_the_lpk_counts():
+    for n in range(1, 8):
+        totals = [0] * len(count_table(n, "lpk"))
+        for (_, k), count in analysis._cycle_lpk_table(n):
+            totals[k] += count
+        assert tuple(totals) == count_table(n, "lpk"), n
+
+
+def test_cycle_law_equals_the_exact_prob_walk():
+    for n in range(1, 7):
+        for m in range(n + 1):
+            scale = (2 * m + 1) ** n
+            walk = {part: scale * prob for part, prob in walk_cycle_law(n, m).items()}
+            assert analysis._cycle_law(n, m) == walk, (n, m)
+
+
+def test_a_permutation_moved_to_another_lpk_class_fails(monkeypatch):
+    # one 4-cycle with one left peak counted with two: its chain count at
+    # m = 1 drops from 4 to 0, so the 4-cycle's total drops from 20 to 16
+    honest = analysis._cycle_lpk_table
+
+    def moved(n):
+        table = Counter(dict(honest(n)))
+        table[(n,), 1] -= 1
+        table[(n,), 2] += 1
+        return tuple(table.items())
+
+    monkeypatch.setattr(analysis, "_cycle_lpk_table", moved)
+    report = check_cycle_distribution(4, 1)
+    assert not report.ok and report.checked == 5
+    assert report.first_mismatch == {"type": [4], "lhs": "16/81", "rhs": "20/81"}
+    assert verify_joint_lpk_cycle(4, 1).first_mismatch == {
+        "m": 1, "type": [4], "lhs": "16", "rhs": "20"}
 
 
 def test_check_expected_fixed_points(monkeypatch):

@@ -378,6 +378,14 @@ def test_verify_rejects_large_n(capsys):
         assert code == 2 and "refuses" in err
 
 
+def test_verify_takes_n_up_to_the_exhaustive_cap(capsys):
+    # n = 7 is the cap itself: accepted, and convention runs at its largest n
+    code, out, _ = run(capsys, "verify", "--only", "convention", "--n", "7")
+    assert code == 0 and out.startswith("PASS convention") and "n<=4" in out
+    code, out, err = run(capsys, "verify", "--only", "convention", "--n", "8")
+    assert code == 2 and out == "" and "refuses n > 7" in err
+
+
 def test_verify_rejects_n_below_one(capsys):
     # a check over no case is a usage error, not a PASS
     for argv in (("--only", "oracle", "--n", "0"), ("--only", "decomposition", "--n", "-2")):

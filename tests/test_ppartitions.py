@@ -311,8 +311,10 @@ def test_shelf_round_trip_exhaustive():
 
 def test_shelf_outcome_rejects_inconsistent_permutation():
     # both cards landed under shelf 1, so the deck must stay in order
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="arrangement is not consistent"):
         ppartition_from_shelf_outcome(ShuffleOutcome((0, 0, 2), (2, 1)))
+    with pytest.raises(ValueError, match="composition does not sum to deck size"):
+        ppartition_from_shelf_outcome(ShuffleOutcome((1, 0, 0), (1, 2)))
     # an odd-length composition has no nonzero-mode reading
     with pytest.raises(ValueError):
         ppartition_from_shelf_outcome(ShuffleOutcome((0, 0, 2), (1, 2)), "nonzero")
@@ -364,8 +366,10 @@ def test_riffle_outcome_image_multiset():
 
 def test_riffle_outcome_rejects_bad_arrangement():
     A = (3, 4, 3, 4, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="arrangement is not consistent"):
         riffle_outcome_to_ppartition(A, tuple(range(1, 17)), "all")
+    with pytest.raises(ValueError, match="composition does not sum to deck size"):
+        riffle_outcome_to_ppartition(A, tuple(range(1, 4)), "all")
     with pytest.raises(ValueError):
         riffle_outcome_to_ppartition((2, 1), (1, 2), "all")  # even length
     with pytest.raises(ValueError):
